@@ -4,7 +4,11 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "kernel/scheduler.hpp"
+#include "tdf/cluster.hpp"
 #include "tdf/dae_module.hpp"
+#include "tdf/module.hpp"
+#include "util/bytes.hpp"
 
 namespace sca::core {
 
@@ -61,6 +65,12 @@ void testbench::probe(std::string name, std::function<double()> fn) {
     // later probes could never fire — reject them instead of losing data.
     util::require(!has_run_, "testbench", "probes must be added before the first run");
     trace_.add_channel(std::move(name), std::move(fn));
+    tdf_probes_.push_back(nullptr);
+}
+
+void testbench::probe(std::string name, const tdf::signal<double>& s) {
+    probe(std::move(name), core::probe(s));
+    tdf_probes_.back() = &s;
 }
 
 void testbench::measure(std::string name, std::function<double()> fn) {
@@ -105,28 +115,86 @@ void testbench::run() {
 }
 
 void testbench::run(const de::time& duration) {
-    activate();
-    has_run_ = true;
-    if (!trace_attached_ && trace_.channel_count() > 0) {
-        util::require(sample_period_ > de::time::zero(), "testbench",
-                      "set_sample_period before running with probes");
-        sim_.trace(trace_, sample_period_);
-        trace_attached_ = true;
-    }
+    attach_probes();
     sim_.run(duration);
+    if (!taps_.empty()) complete_tapped_rows();
     measured_.clear();
     for (const auto& [name, fn] : measurement_defs_) measured_[name] = fn();
 }
 
-void testbench::attach_trace_for_resume() {
+void testbench::attach_trace_for_resume() { attach_probes(); }
+
+void testbench::attach_probes() {
     activate();
     has_run_ = true;
-    if (!trace_attached_ && trace_.channel_count() > 0) {
-        util::require(sample_period_ > de::time::zero(), "testbench",
-                      "set_sample_period before running with probes");
-        sim_.trace(trace_, sample_period_);
-        trace_attached_ = true;
+    if (probes_attached_ || trace_.channel_count() == 0) return;
+    util::require(sample_period_ > de::time::zero(), "testbench",
+                  "set_sample_period before running with probes");
+    probes_attached_ = true;
+    // Taps need the clusters, so elaborate first.  A DE recorder registered
+    // afterwards takes the place it would have had before elaboration:
+    // registration order decides the t = 0 sample and snapshot identity.
+    de::scheduler& sched = context().sched();
+    const bool elaborated = context().elaborated();
+    const std::size_t index = sched.processes().size();
+    sim_.elaborate();
+    if (attach_taps(/*cluster_first_at_zero=*/!elaborated)) return;
+    de::method_process& recorder = sim_.trace(trace_, sample_period_);
+    if (!elaborated) sched.move_process(recorder, index);
+}
+
+bool testbench::attach_taps(bool cluster_first_at_zero) {
+    std::vector<tdf::cluster*> clusters;
+    for (const tdf::signal<double>* s : tdf_probes_) {
+        if (s == nullptr || s->writer() == nullptr || s->writer()->owner() == nullptr ||
+            s->writer()->owner()->owning_cluster() == nullptr) {
+            return false;
+        }
+        clusters.push_back(s->writer()->owner()->owning_cluster());
     }
+    // The tap replays a pure cluster's batching against the recorder alone,
+    // so no process other than pure clusters may bound that batching.
+    // DE-coupled clusters re-arm every period whatever else runs.
+    std::vector<const de::method_process*> pure;
+    for (const auto& c : tdf::registry::of(context()).clusters()) {
+        if (!c->de_coupled()) pure.push_back(c->process());
+    }
+    bool foreign = false;
+    for (const de::method_process* p : context().sched().processes()) {
+        if (std::find(pure.begin(), pure.end(), p) == pure.end()) foreign = true;
+    }
+    for (const tdf::cluster* c : clusters) {
+        if (foreign && !c->de_coupled()) return false;
+    }
+    for (std::size_t ch = 0; ch < clusters.size(); ++ch) {
+        taps_.push_back(std::make_unique<tdf::probe_tap>(
+            *tdf_probes_[ch], trace_, ch, sample_period_, cluster_first_at_zero));
+        clusters[ch]->add_tap(*taps_.back());
+    }
+    return true;
+}
+
+void testbench::complete_tapped_rows() {
+    const de::time now = sim_.now();
+    for (const auto& tap : taps_) tap->fill_until(now);
+    const std::size_t rows = trace_.filled(0);
+    for (std::size_t i = trace_.size(); i < rows; ++i) {
+        const auto k = static_cast<std::int64_t>(first_tapped_row_ + i);
+        trace_.push_time(de::time::from_fs(k * sample_period_.value_fs()).to_seconds());
+    }
+}
+
+void testbench::save_probe_taps(util::byte_writer& w) const {
+    w.u64(taps_.size());
+    for (const auto& tap : taps_) tap->save_state(w);
+}
+
+void testbench::restore_probe_taps(util::byte_reader& r) {
+    util::require(r.u64() == taps_.size(), "snapshot",
+                  "the rebuilt testbench records its probes differently from the snapshot");
+    for (const auto& tap : taps_) tap->restore_state(r);
+    // The resumed trace starts empty at the first row not yet recorded.
+    if (!taps_.empty()) first_tapped_row_ = taps_.front()->next_row();
 }
 
 std::vector<double> testbench::waveform(const std::string& probe_name) const {
@@ -158,8 +226,11 @@ void testbench::save_trace(const std::string& path) const {
         out.add_channel(trace_.channel_name(c), [] { return 0.0; });
     }
     const auto& times = trace_.times();
-    const auto& rows = trace_.rows();
-    for (std::size_t i = 0; i < times.size(); ++i) out.replay_row(times[i], rows[i]);
+    std::vector<double> row(trace_.channel_count());
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        for (std::size_t c = 0; c < row.size(); ++c) row[c] = trace_.column_data(c)[i];
+        out.replay_row(times[i], row);
+    }
     out.close();
 }
 

@@ -52,7 +52,13 @@
 
 namespace sca::tdf {
 class dae_module;
-}
+class probe_tap;
+}  // namespace sca::tdf
+
+namespace sca::util {
+class byte_writer;
+class byte_reader;
+}  // namespace sca::util
 
 namespace sca::core {
 
@@ -161,9 +167,9 @@ public:
     void probe(std::string name, const de::signal<bool>& s) {
         probe(std::move(name), core::probe(s));
     }
-    void probe(std::string name, const tdf::signal<double>& s) {
-        probe(std::move(name), core::probe(s));
-    }
+    /// A TDF signal is recorded by a tap inside the cluster that writes it
+    /// (tdf::probe_tap) instead of a DE process, with the same samples.
+    void probe(std::string name, const tdf::signal<double>& s);
 
     /// Register a scalar evaluated when a run finishes (waveform statistics,
     /// final values, counters...).
@@ -235,10 +241,14 @@ public:
     void snapshot(const std::string& path);
 
     /// Resume plumbing: replicate exactly what the first run() does before
-    /// advancing time — mark the bench as run and attach the probe recorder
-    /// process — so process registration order matches the saved context.
+    /// advancing time — mark the bench as run, elaborate, and attach the
+    /// probes — so process registration order matches the saved context.
     /// Called by core/snapshot's restore path; not useful on its own.
     void attach_trace_for_resume();
+
+    /// Snapshot plumbing (core/snapshot): the probe taps' positions.
+    void save_probe_taps(util::byte_writer& w) const;
+    void restore_probe_taps(util::byte_reader& r);
 
     // --- analysis handle ---------------------------------------------------
     /// The continuous-time view (ELN network / LSF system) the frequency- and
@@ -250,6 +260,17 @@ public:
     [[nodiscard]] tdf::dae_module& view(const std::string& full_name);
 
 private:
+    /// First-run step: elaborate, then record the probes — through taps in
+    /// the writing clusters when every probe is a TDF signal and the taps
+    /// can replay the recorder exactly, else through the DE recorder.
+    void attach_probes();
+    /// Tap every probe; false (nothing attached) when some probe cannot be.
+    /// `cluster_first_at_zero`: the recorder would have been registered
+    /// before the cluster processes.
+    bool attach_taps(bool cluster_first_at_zero);
+    /// Complete the trace rows up to the current time (tap mode).
+    void complete_tapped_rows();
+
     std::string name_;
     simulation sim_;
     util::object_bag bag_;
@@ -257,8 +278,12 @@ private:
     params params_;
     de::time stop_time_ = de::time::zero();
     de::time sample_period_ = de::time::zero();
-    bool trace_attached_ = false;
+    bool probes_attached_ = false;
     bool has_run_ = false;
+    /// Per channel: the TDF signal it probes, or nullptr for other probes.
+    std::vector<const tdf::signal<double>*> tdf_probes_;
+    std::vector<std::unique_ptr<tdf::probe_tap>> taps_;
+    std::uint64_t first_tapped_row_ = 0;  // grid index of the trace's row 0
     std::vector<std::pair<std::string, std::function<double()>>> measurement_defs_;
     std::map<std::string, double> measured_;
     std::map<std::string, double> notes_;

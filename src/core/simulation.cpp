@@ -6,15 +6,14 @@ simulation::simulation() : ctx_(std::make_unique<de::simulation_context>()) {}
 
 simulation::~simulation() = default;
 
-void simulation::trace(util::trace_file& file, const de::time& period) {
+de::method_process& simulation::trace(util::trace_file& file, const de::time& period) {
     util::require(period > de::time::zero(), "simulation::trace",
                   "trace period must be positive");
     // A plain method process: sample, then re-arm.
-    auto& proc = ctx_->register_method("trace_recorder", [this, &file, period] {
+    return ctx_->register_method("trace_recorder", [this, &file, period] {
         file.sample(ctx_->now().to_seconds());
         ctx_->next_trigger(period);
     });
-    (void)proc;
 }
 
 std::function<double()> probe(const de::signal<double>& s) {

@@ -46,9 +46,10 @@ public:
 
     [[nodiscard]] de::time now() const noexcept { return ctx_->now(); }
 
-    /// Attach a trace file sampled every `period`; channels are added by the
-    /// caller on the file before the run starts.
-    void trace(util::trace_file& file, const de::time& period);
+    /// Attach a trace file sampled every `period` by a DE method process
+    /// (returned); channels are added by the caller on the file before the
+    /// run starts.
+    de::method_process& trace(util::trace_file& file, const de::time& period);
 
 private:
     std::unique_ptr<de::simulation_context> ctx_;

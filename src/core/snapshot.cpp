@@ -265,6 +265,7 @@ std::vector<std::uint8_t> encode_snapshot(testbench& tb) {
     const auto& clusters = tdf::registry::of(ctx).clusters();
     w.u64(clusters.size());
     for (const auto& c : clusters) c->save_state(w);
+    tb.save_probe_taps(w);
 
     return w.take();
 }
@@ -282,8 +283,8 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
     const std::uint32_t saved_fingerprint = r.u32();
 
     // Rebuild the model through the scenario factory, replicate the first
-    // run()'s pre-advance steps (probe recorder registration), elaborate —
-    // and only then check that the rebuilt shape is the saved shape.
+    // run()'s pre-advance steps (elaboration, probe attachment) — and only
+    // then check that the rebuilt shape is the saved shape.
     auto tb = scenario::find(scenario_name).build(p);
     tb->attach_trace_for_resume();
     tb->elaborate();
@@ -416,6 +417,7 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
                   "the rebuilt model has " + std::to_string(clusters.size()) +
                       " TDF clusters, the snapshot " + std::to_string(n_clusters));
     for (const auto& c : clusters) c->restore_state(r);
+    tb->restore_probe_taps(r);
 
     sched.finish_restore(delta_count, timed_notifications);
     util::require(r.at_end(), "snapshot", "trailing bytes after snapshot payload");

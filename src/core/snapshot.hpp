@@ -35,7 +35,7 @@ namespace sca::core {
 class testbench;
 
 /// Version of the snapshot payload layout (inside the SCA1 frame).
-inline constexpr std::uint32_t k_snapshot_version = 1;
+inline constexpr std::uint32_t k_snapshot_version = 2;
 
 // ----------------------------------------------------------- payload level --
 

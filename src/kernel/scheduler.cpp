@@ -69,6 +69,14 @@ void scheduler::request_update(signal_base& s) { update_queue_.push_back(&s); }
 
 void scheduler::register_process(method_process& p) { all_processes_.push_back(&p); }
 
+void scheduler::move_process(method_process& p, std::size_t index) {
+    auto it = std::find(all_processes_.begin(), all_processes_.end(), &p);
+    util::require(it != all_processes_.end() && index < all_processes_.size(), "scheduler",
+                  "move_process: unknown process or index out of range");
+    all_processes_.erase(it);
+    all_processes_.insert(all_processes_.begin() + static_cast<std::ptrdiff_t>(index), &p);
+}
+
 void scheduler::unregister_process(method_process& p) {
     all_processes_.erase(std::remove(all_processes_.begin(), all_processes_.end(), &p),
                          all_processes_.end());

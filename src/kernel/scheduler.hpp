@@ -64,6 +64,10 @@ public:
 
     /// Register a process for the initialization phase.
     void register_process(method_process& p);
+    /// Move a registered process to position `index` of the registration
+    /// order, as if it had been registered then (initialization order and
+    /// snapshot process identity both follow this order).
+    void move_process(method_process& p, std::size_t index);
     void unregister_process(method_process& p);
 
     // --- simulation control -------------------------------------------------

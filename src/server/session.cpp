@@ -100,8 +100,8 @@ void session::send_stats(core::testbench& tb) {
 }
 
 void session::stream_new_rows(core::testbench& tb) {
-    const auto& times = tb.times();
-    const auto& rows = tb.trace().rows();
+    const util::memory_trace& trace = tb.trace();
+    const auto& times = trace.times();
     bool pushed = false;
     for (auto& [probe, sub] : subs_) {
         while (sub.next < times.size()) {
@@ -111,12 +111,11 @@ void session::stream_new_rows(core::testbench& tb) {
             batch.probe = probe;
             batch.first_index = sub.next;
             batch.dropped = sub.dropped;
-            batch.times.reserve(n);
-            batch.values.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                batch.times.push_back(times[sub.next + i]);
-                batch.values.push_back(rows[sub.next + i][sub.column]);
-            }
+            const auto first = static_cast<std::ptrdiff_t>(sub.next);
+            batch.times.assign(times.begin() + first,
+                               times.begin() + first + static_cast<std::ptrdiff_t>(n));
+            const double* col = trace.column_data(sub.column) + sub.next;
+            batch.values.assign(col, col + n);
             // The kernel-side push never blocks: a full queue means the
             // consumer is slow, and the batch is dropped with its count —
             // the next delivered batch carries the gap.

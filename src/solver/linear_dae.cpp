@@ -172,9 +172,17 @@ void linear_dae_solver::restore_state(util::byte_reader& r) {
             util::require(lu_.adopt_symbolic(symbolic, iter_mat_), "snapshot",
                           "linear solver: LU symbolic analysis does not fit the "
                           "rebuilt iteration matrix");
-            util::require(lu_.refactor(iter_mat_), "snapshot",
-                          "linear solver: numeric refactorization under the "
-                          "restored pivot order failed");
+            if (!lu_.refactor(iter_mat_)) {
+                // Pivots tiny enough to trip refactor()'s stability guard
+                // are the ones the saver's own refactor() rejected too: it
+                // fell back to factor(), so replay that — and insist it
+                // lands on the saved pivot order rather than drifting.
+                lu_.factor(iter_mat_);
+                util::require(lu_.export_symbolic() == symbolic, "snapshot",
+                              "linear solver: refactorization under the restored "
+                              "pivot order failed and a fresh factorization chose "
+                              "a different one");
+            }
         }
         factored_ = true;
     }

@@ -12,6 +12,7 @@
 #include "tdf/port.hpp"
 #include "util/bytes.hpp"
 #include "util/report.hpp"
+#include "util/trace.hpp"
 #include "util/trace_export.hpp"
 
 namespace sca::tdf {
@@ -418,6 +419,7 @@ void cluster::run_cycles(const de::time& start, std::uint64_t n) {
         for (const fused_program& fp : fused_) {
             while (left >= fp.periods) {
                 exec_program(fp.entries, t);
+                if (!taps_.empty()) feed_taps(t, fp.periods, period_, false);
                 cycles_ += fp.periods;
                 fused_cycles_ += fp.periods;
                 t += period_ * static_cast<std::int64_t>(fp.periods);
@@ -427,10 +429,44 @@ void cluster::run_cycles(const de::time& start, std::uint64_t n) {
     }
     for (std::uint64_t c = 0; c < left; ++c) {
         exec_program(program_, t);
+        // Dynamic clusters feed their taps after the change window instead
+        // (run_dynamic_cycle): the replay needs to know about reschedules.
+        if (!taps_.empty() && !dynamic_) feed_taps(t, 1, period_, false);
         ++cycles_;
         t += period_;
     }
     next_cycle_start_ = t;
+}
+
+void cluster::run_dynamic_cycle(const de::time start) {
+    const std::uint64_t before = reschedules_;
+    run_cycles(start, 1);
+    run_change_attributes();
+    if (!taps_.empty()) {
+        feed_taps(start, 1, next_cycle_start_ - start, reschedules_ != before);
+    }
+}
+
+void cluster::feed_taps(const de::time& start, std::uint64_t n, const de::time& step,
+                        bool rescheduled) {
+    for (probe_tap* tap : taps_) tap->on_cycles(*this, start, n, step, rescheduled);
+}
+
+void cluster::add_tap(probe_tap& tap) {
+    util::require(tap.writer_->owner() != nullptr &&
+                      tap.writer_->owner()->owning_cluster() == this,
+                  "tdf_cluster", "probe tap on a signal another cluster writes");
+    if (!fused_.empty()) {
+        // A fused program of b periods writes b * per tokens in one go; the
+        // tap reads the last token of each of those periods afterwards.
+        const std::uint64_t per =
+            tap.writer_->rate() * tap.writer_->owner()->repetitions();
+        const auto need = static_cast<std::size_t>(fused_.front().periods * per);
+        for (signal_base* s : signals_) {
+            if (s == tap.sig_ && s->capacity() < need) s->allocate(need);
+        }
+    }
+    taps_.push_back(&tap);
 }
 
 std::uint64_t cluster::plan_batch_ahead(bool for_peek) const {
@@ -477,15 +513,14 @@ void cluster::on_wake() {
     const de::time now = ctx_->now();
     if (!batch_check_pending_) {
         // Timed wake at a cycle boundary.
-        run_cycles(now, 1);
         if (dynamic_) {
             // Dynamic clusters give their members the change_attributes()
-            // window between periods, then re-arm with whatever period the
+            // window after each period, then re-arm with whatever period the
             // (possibly rescheduled) configuration resolved to — this is the
             // DE re-sync: the next timed wake lands on the new grid.  The
             // cycle just run still spans its old period, so the next cycle
             // starts at next_cycle_start_ regardless of a period change.
-            run_change_attributes();
+            run_dynamic_cycle(now);
             // Pure dynamic clusters batch too (via the settled re-check
             // below): periods execute back-to-back with the change window
             // interleaved, so only the kernel re-arms are elided — the
@@ -498,6 +533,7 @@ void cluster::on_wake() {
             ctx_->next_trigger(next_cycle_start_ - now);
             return;
         }
+        run_cycles(now, 1);
         // Peek: schedule the batch-check re-activation only when the (possibly
         // still unsettled) queue suggests batching could yield anything —
         // event-dense models otherwise pay a useless delta round per period.
@@ -538,8 +574,7 @@ void cluster::on_wake() {
         std::uint64_t ahead = plan_batch_ahead();
         const std::uint64_t planned_at = reschedules_;
         while (ahead-- > 0) {
-            run_cycles(next_cycle_start_, 1);
-            run_change_attributes();
+            run_dynamic_cycle(next_cycle_start_);
             if (reschedules_ != planned_at) break;
         }
         ctx_->next_trigger(next_cycle_start_ - now);
@@ -672,6 +707,156 @@ void cluster::restore_state(util::byte_reader& r) {
     util::require(r.boolean() == dynamic_, "snapshot",
                   "cluster: dynamic membership differs from snapshot");
     batch_check_pending_ = false;  // settled points never carry a pending check
+}
+
+// ----------------------------------------------------------------- probe tap
+
+probe_tap::probe_tap(const signal<double>& s, util::memory_trace& trace, std::size_t channel,
+                     const de::time& sample_period, bool cluster_first_at_zero)
+    : sig_(&s),
+      writer_(s.writer()),
+      trace_(&trace),
+      channel_(channel),
+      period_fs_(sample_period.value_fs()),
+      writer_pos_(s.writer() != nullptr ? s.writer()->position() : 0),
+      last_(s.last_value()),
+      wake_(de::time::zero()),
+      cluster_first_(cluster_first_at_zero) {
+    util::require(writer_ != nullptr, s.name(), "probe tap on a TDF signal without writer");
+    util::require(period_fs_ > 0, s.name(), "probe tap needs a positive sample period");
+}
+
+void probe_tap::push_row() {
+    trace_->push_value(channel_, last_);
+    ++next_row_;
+    row_fs_ += period_fs_;
+}
+
+void probe_tap::fill_until(const de::time& now) {
+    while (row_fs_ <= now.value_fs()) push_row();
+}
+
+void probe_tap::arm(const de::time& wake, const de::time& armed_at, bool from_delta,
+                    std::int64_t next_sample) {
+    batch_left_ = 0;
+    wake_ = wake;
+    const std::int64_t w = wake.value_fs();
+    if (w < next_sample || (w > next_sample && (w - next_sample) % period_fs_ != 0)) {
+        return;  // no sample at `wake`
+    }
+    // The recorder armed its sample at `wake` when it sampled wake - P.  Of
+    // two timed re-arms for one instant, the later one runs first.  A
+    // re-arm from the settled zero-delay re-activation comes after every
+    // process of that instant; a re-arm from the timed wake comes in the
+    // order the two processes ran there, which the instant then reverses.
+    const std::int64_t u = armed_at.value_fs();
+    const std::int64_t rec_armed_at = w - period_fs_;
+    if (u < rec_armed_at) {
+        cluster_first_ = false;
+    } else if (u > rec_armed_at) {
+        cluster_first_ = true;
+    } else {
+        cluster_first_ = from_delta || !cluster_first_;
+    }
+}
+
+void probe_tap::plan(const cluster& c, const de::time& at, const de::time& next,
+                     bool on_grid, std::int64_t next_sample) {
+    // Mirrors cluster::on_wake()/plan_batch_ahead() with the recorder's next
+    // sample as the only pending timed event.  When the cluster runs first
+    // at a sample instant, the recorder has not re-armed yet when the
+    // cluster peeks: nothing bounds the peek.
+    const std::uint64_t max_batch = c.max_batch_periods();
+    const bool rec_pending = !(on_grid && cluster_first_);
+    const std::int64_t gap = next_sample - next.value_fs();
+    if (c.de_coupled() || max_batch < 2 || (rec_pending && gap <= 0)) {
+        arm(next, at, /*from_delta=*/false, next_sample);
+        return;
+    }
+    std::uint64_t ahead = 0;
+    if (gap > 0) {
+        const std::int64_t p = c.period().value_fs();
+        ahead = std::min(max_batch - 1, static_cast<std::uint64_t>((gap + p - 1) / p));
+        const de::time end =
+            static_cast<const de::simulation_context&>(*c.ctx_).sched().run_end();
+        if (end != de::time::max()) {
+            ahead = next > end ? 0
+                               : std::min(ahead, static_cast<std::uint64_t>(
+                                                     (end - next).value_fs() / p) + 1);
+        }
+    }
+    if (ahead == 0) {
+        arm(next, at, /*from_delta=*/true, next_sample);
+    } else {
+        batch_left_ = ahead;
+        armed_at_ = at;
+    }
+}
+
+void probe_tap::on_cycles(const cluster& c, const de::time& start, std::uint64_t n,
+                          const de::time& step, bool rescheduled) {
+    // A single cycle leaves its value in last_value() — exactly what the
+    // recorder reads.  Inside a fused program the per-period values are read
+    // back by write index (a dynamic cluster, whose reschedules restart the
+    // streams, never fuses), and only for periods a sample lands in.
+    const std::uint64_t pos = writer_->position();
+    const std::uint64_t per = n > 1 ? (pos - writer_pos_) / n : 0;
+    std::int64_t pending = -1;  // token index last_ still has to be read from
+    de::time at = start;
+    for (std::uint64_t j = 0; j < n; ++j, at += step) {
+        if (row_fs_ < at.value_fs() && pending >= 0) {
+            last_ = sig_->read_token(pending);
+            pending = -1;
+        }
+        while (row_fs_ < at.value_fs()) push_row();
+        const bool on_grid = row_fs_ == at.value_fs();
+        const std::int64_t next_sample = on_grid ? row_fs_ + period_fs_ : row_fs_;
+        bool before_sample = true;  // cycle `at` runs before a sample at `at`
+        if (batch_left_ == 0) {
+            util::require(at == wake_, sig_->name(),
+                          "probe tap lost track of the cluster's wakes");
+            if (on_grid) before_sample = cluster_first_;
+            plan(c, at, at + step, on_grid, next_sample);
+        } else if (--batch_left_ == 0 || (rescheduled && j + 1 == n)) {
+            arm(at + step, armed_at_, /*from_delta=*/true, next_sample);
+        }
+        if (on_grid && !before_sample) {
+            if (pending >= 0) last_ = sig_->read_token(pending);
+            push_row();
+        }
+        if (n == 1) {
+            last_ = sig_->last_value();
+        } else {
+            pending = static_cast<std::int64_t>(writer_pos_ + (j + 1) * per) - 1;
+        }
+        if (on_grid && before_sample) {
+            if (pending >= 0) last_ = sig_->read_token(pending);
+            pending = -1;
+            push_row();
+        }
+    }
+    if (pending >= 0) last_ = sig_->read_token(pending);
+    writer_pos_ = pos;
+}
+
+void probe_tap::save_state(util::byte_writer& w) const {
+    w.u64(next_row_);
+    w.f64(last_);
+    w.i64(wake_.value_fs());
+    w.i64(armed_at_.value_fs());
+    w.u64(batch_left_);
+    w.boolean(cluster_first_);
+}
+
+void probe_tap::restore_state(util::byte_reader& r) {
+    next_row_ = r.u64();
+    row_fs_ = static_cast<std::int64_t>(next_row_) * period_fs_;
+    last_ = r.f64();
+    wake_ = de::time::from_fs(r.i64());
+    armed_at_ = de::time::from_fs(r.i64());
+    batch_left_ = r.u64();
+    cluster_first_ = r.boolean();
+    writer_pos_ = writer_->position();
 }
 
 // ------------------------------------------------------------------ registry

@@ -24,12 +24,86 @@
 namespace sca::util {
 class byte_writer;
 class byte_reader;
+class memory_trace;
 }  // namespace sca::util
 
 namespace sca::tdf {
 
 class module;
 class signal_base;
+class port_base;
+class cluster;
+template <typename T>
+class signal;
+
+/// Records a tdf::signal<double> into one memory_trace column at the sample
+/// instants k * sample_period, from inside the cluster that writes it, so a
+/// probe costs no DE process and no kernel wake per sample.
+///
+/// Each row holds the value the DE trace recorder (core::simulation::trace)
+/// would have read at that instant: the last token written by the cluster
+/// cycles that started before it, plus the cycle starting at the instant
+/// itself when the kernel would have run the cluster first.  That same-instant
+/// order is the kernel's: processes made runnable at one instant run
+/// last-in-first-out, so the later of the two timed re-arms runs first (at
+/// t = 0, the later registration).  The tap replays the cluster's wake/re-arm
+/// sequence as it would have run next to a recorder process — period
+/// batching bounded by the recorder's next sample, the run end and the batch
+/// cap — to decide that order at every instant where a cycle starts.  The
+/// replay is exact when the cluster's batching sees no other DE process
+/// (testbench::run checks this and keeps the DE recorder otherwise).
+class probe_tap {
+public:
+    /// `cluster_first_at_zero`: the cluster process would run before the
+    /// recorder at t = 0, i.e. the recorder would have been registered first.
+    probe_tap(const signal<double>& s, util::memory_trace& trace, std::size_t channel,
+              const de::time& sample_period, bool cluster_first_at_zero);
+
+    /// Fill every row at or before `now`; the caller guarantees that every
+    /// cycle starting at or before `now` has run (run() has returned).
+    void fill_until(const de::time& now);
+
+    /// Grid index of the next row this tap will fill.
+    [[nodiscard]] std::uint64_t next_row() const noexcept { return next_row_; }
+
+    // --- checkpoint/restore (core/snapshot) ----------------------------------
+    void save_state(util::byte_writer& w) const;
+    /// Overlay the saved position; runs after the writing cluster restored.
+    void restore_state(util::byte_reader& r);
+
+private:
+    friend class cluster;
+    /// Cycles [start, start + n * step) of the writing cluster just ran;
+    /// `rescheduled`: a dynamic cluster's change window after the (single)
+    /// cycle installed a new schedule.
+    void on_cycles(const cluster& c, const de::time& start, std::uint64_t n,
+                   const de::time& step, bool rescheduled);
+    /// The cluster's timed wake at `at` (cycle `at` just ran, the next
+    /// starts at `next`): replay its batch-ahead plan.  `next_sample` is the
+    /// first sample instant after `at` (fs).
+    void plan(const cluster& c, const de::time& at, const de::time& next, bool on_grid,
+              std::int64_t next_sample);
+    /// The replayed cluster re-arms for `wake` at `armed_at`, from its
+    /// settled zero-delay re-activation (`from_delta`) or its timed wake.
+    void arm(const de::time& wake, const de::time& armed_at, bool from_delta,
+             std::int64_t next_sample);
+    /// Append the next row, holding last_.
+    void push_row();
+
+    const signal<double>* sig_;
+    const port_base* writer_;
+    util::memory_trace* trace_;
+    std::size_t channel_;
+    std::int64_t period_fs_;
+    std::uint64_t next_row_ = 0;
+    std::int64_t row_fs_ = 0;       // next_row_ * sample period
+    std::uint64_t writer_pos_;      // writer position after the last cycle seen
+    double last_;                   // value after the last cycle seen
+    de::time wake_;                 // next replayed timed wake (when not batching)
+    de::time armed_at_;             // where the running replayed batch was planned
+    std::uint64_t batch_left_ = 0;  // replayed batch cycles still to come
+    bool cluster_first_;            // at wake_: cluster runs before the recorder
+};
 
 /// A maximal set of TDF modules connected through TDF signals, executed as
 /// one statically scheduled unit from a single DE process.
@@ -95,6 +169,12 @@ public:
     void set_max_batch_periods(std::uint64_t n);
     [[nodiscard]] std::uint64_t max_batch_periods() const noexcept { return max_batch_; }
 
+    /// Feed `tap` every cycle this cluster runs from now on; `tap` must
+    /// watch a signal this cluster writes and outlive the cluster's runs.
+    /// Grows that signal's ring buffer so a fused program's writes all stay
+    /// readable until the tap has seen them.
+    void add_tap(probe_tap& tap);
+
     // --- block execution (see tdf/block.hpp) --------------------------------
     /// Enable/disable the block path (default on).  Off restores the exact
     /// per-sample executor — the A/B baseline; results are bit-identical
@@ -149,6 +229,8 @@ public:
     void restore_state(util::byte_reader& r);
 
 private:
+    friend class probe_tap;  // replays on_wake() against the kernel's run end
+
     void compute_repetitions();
     void resolve_timesteps();
     void build_schedule();
@@ -158,6 +240,11 @@ private:
     void on_wake();
     /// Fire `n` cluster cycles, the first starting at virtual time `start`.
     void run_cycles(const de::time& start, std::uint64_t n);
+    /// One dynamic-cluster cycle followed by its change_attributes() window.
+    void run_dynamic_cycle(de::time start);  // by value: callers pass next_cycle_start_
+    /// Hand cycles [start, start + n * step) to every probe tap.
+    void feed_taps(const de::time& start, std::uint64_t n, const de::time& step,
+                   bool rescheduled);
     /// Cycles safe to run ahead of DE time, starting at next_cycle_start_.
     /// `for_peek` skips the run_end clamp: the peek decides only whether to
     /// defer the re-arm to a settled delta, and that decision must not
@@ -205,6 +292,7 @@ private:
     std::vector<const de::method_process*> peers_;
     std::vector<module*> dynamic_modules_;
     std::vector<fused_program> fused_;  // descending periods, pure static only
+    std::vector<probe_tap*> taps_;
     mutable std::vector<const de::event*> ignore_scratch_;
     schedule_cache cache_;
     compiled_schedule last_compiled_;  // index form of the installed program

@@ -24,10 +24,9 @@ void trace_file::sample(double t) {
         write_header();
         header_written_ = true;
     }
-    std::vector<double> values;
-    values.reserve(channels_.size());
-    for (const auto& ch : channels_) values.push_back(ch.probe());
-    write_row(t, values);
+    row_.resize(channels_.size());
+    for (std::size_t c = 0; c < channels_.size(); ++c) row_[c] = channels_[c].probe();
+    write_row(t, row_.data());
 }
 
 void trace_file::replay_row(double t, const std::vector<double>& values) {
@@ -37,7 +36,7 @@ void trace_file::replay_row(double t, const std::vector<double>& values) {
         write_header();
         header_written_ = true;
     }
-    write_row(t, values);
+    write_row(t, values.data());
 }
 
 // ---------------------------------------------------------------- tabular --
@@ -58,9 +57,9 @@ void tabular_trace_file::write_header() {
     out_ << '\n';
 }
 
-void tabular_trace_file::write_row(double t, const std::vector<double>& values) {
+void tabular_trace_file::write_row(double t, const double* values) {
     out_ << t;
-    for (double v : values) out_ << ' ' << v;
+    for (std::size_t i = 0; i < channels_.size(); ++i) out_ << ' ' << values[i];
     out_ << '\n';
 }
 
@@ -99,10 +98,10 @@ void vcd_trace_file::write_header() {
     last_.assign(channels_.size(), std::nan(""));
 }
 
-void vcd_trace_file::write_row(double t, const std::vector<double>& values) {
+void vcd_trace_file::write_row(double t, const double* values) {
     const auto stamp = static_cast<long long>(std::llround(t / resolution_));
     bool stamp_emitted = false;
-    for (std::size_t i = 0; i < values.size(); ++i) {
+    for (std::size_t i = 0; i < channels_.size(); ++i) {
         if (values[i] == last_[i]) continue;
         if (!stamp_emitted && stamp != last_stamp_) {
             out_ << '#' << stamp << '\n';
@@ -116,17 +115,28 @@ void vcd_trace_file::write_row(double t, const std::vector<double>& values) {
 
 // ----------------------------------------------------------------- memory --
 
-std::vector<double> memory_trace::column(std::size_t c) const {
+const double* memory_trace::column_data(std::size_t c) const {
     require(c < channel_count(), "memory_trace", "column index out of range");
-    std::vector<double> col;
-    col.reserve(rows_.size());
-    for (const auto& row : rows_) col.push_back(row[c]);
-    return col;
+    return c < columns_.size() ? columns_[c].data() : nullptr;
 }
 
-void memory_trace::write_row(double t, const std::vector<double>& values) {
+std::vector<double> memory_trace::column(std::size_t c) const {
+    const double* d = column_data(c);
+    return d == nullptr ? std::vector<double>{} : std::vector<double>(d, d + size());
+}
+
+void memory_trace::push_time(double t) {
+    start();
+    for (const auto& col : columns_) {
+        require(col.size() > times_.size(), "memory_trace",
+                "push_time before every column holds the row");
+    }
     times_.push_back(t);
-    rows_.push_back(values);
+}
+
+void memory_trace::write_row(double t, const double* values) {
+    times_.push_back(t);
+    for (std::size_t c = 0; c < columns_.size(); ++c) columns_[c].push_back(values[c]);
 }
 
 }  // namespace sca::util

@@ -50,10 +50,14 @@ protected:
     trace_file() = default;
 
     virtual void write_header() = 0;
-    virtual void write_row(double t, const std::vector<double>& values) = 0;
+    /// One row: `values` holds one value per channel.
+    virtual void write_row(double t, const double* values) = 0;
 
     std::vector<trace_channel> channels_;
     bool header_written_ = false;
+
+private:
+    std::vector<double> row_;  // sample() scratch, sized once per channel set
 };
 
 /// Tabular trace: one row per sample, first column is time.
@@ -65,7 +69,7 @@ public:
 
 private:
     void write_header() override;
-    void write_row(double t, const std::vector<double>& values) override;
+    void write_row(double t, const double* values) override;
 
     std::ofstream out_;
 };
@@ -80,7 +84,7 @@ public:
 
 private:
     void write_header() override;
-    void write_row(double t, const std::vector<double>& values) override;
+    void write_row(double t, const double* values) override;
 
     std::ofstream out_;
     double resolution_;
@@ -88,24 +92,49 @@ private:
     long long last_stamp_ = -1;
 };
 
-/// In-memory trace for tests and measurements: stores (t, values) rows.
+/// In-memory trace for tests and measurements, stored column-major: one
+/// times vector plus one value vector per channel.  sample() appends a whole
+/// row; a producer that records channels out of step (a TDF probe tap fills
+/// its column from inside the cluster) appends values with push_value() and
+/// publishes rows with push_time() once every column holds them.  times()
+/// is the completed-row watermark: readers see only rows below it.
 class memory_trace final : public trace_file {
 public:
     memory_trace() = default;
     void close() override {}
 
     [[nodiscard]] const std::vector<double>& times() const noexcept { return times_; }
-    [[nodiscard]] const std::vector<std::vector<double>>& rows() const noexcept { return rows_; }
+    /// Completed rows.
+    [[nodiscard]] std::size_t size() const noexcept { return times_.size(); }
 
-    /// Column of samples for channel index `c`.
+    /// Completed samples of channel `c` (a pointer to size() contiguous
+    /// values; valid until the next append).
+    [[nodiscard]] const double* column_data(std::size_t c) const;
+    /// Copy of the completed samples of channel `c`.
     [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
+    /// Append one value to channel `c` past the watermark.
+    void push_value(std::size_t c, double v) {
+        start();
+        columns_[c].push_back(v);
+    }
+    /// Values channel `c` holds, completed or not.
+    [[nodiscard]] std::size_t filled(std::size_t c) const { return columns_.at(c).size(); }
+    /// Complete the next row at time `t`; every column must already hold it.
+    void push_time(double t);
+
 private:
-    void write_header() override {}
-    void write_row(double t, const std::vector<double>& values) override;
+    void start() {
+        if (!header_written_) {
+            write_header();
+            header_written_ = true;
+        }
+    }
+    void write_header() override { columns_.resize(channels_.size()); }
+    void write_row(double t, const double* values) override;
 
     std::vector<double> times_;
-    std::vector<std::vector<double>> rows_;
+    std::vector<std::vector<double>> columns_;
 };
 
 }  // namespace sca::util

@@ -30,6 +30,8 @@
 #include "kernel/context.hpp"
 #include "kernel/signal.hpp"
 #include "lib/filters.hpp"
+#include "lib/oscillator.hpp"
+#include "lsf/ltf.hpp"
 #include "lsf/primitives.hpp"
 #include "lsf/view.hpp"
 #include "tdf/cluster.hpp"
@@ -231,6 +233,37 @@ void define_lsf() {
         });
 }
 
+/// A stateless TDF sine driving a 3rd-order Butterworth lsf::ltf_nd
+/// (150 kHz at 0.5 us): its pivots are small enough to trip refactor()'s
+/// stability guard, so restore must fall back to a full factorization that
+/// lands on the saved pivot order.
+struct drain : tdf::module {
+    tdf::in<double> in;
+    explicit drain(const de::module_name& nm) : tdf::module(nm), in("in") {}
+    void processing() override { (void)in.read(); }
+};
+
+void define_ltf_butterworth() {
+    core::scenario::define(
+        "snap_ltf_butterworth", [](core::testbench& tb, const core::params&) {
+            auto& tone = tb.make<lib::sine_source>("tone", 0.5, 40e3);
+            auto& sys = tb.make<lsf::system>("sys");
+            sys.set_timestep(0.5, de::time_unit::us);
+            auto u = sys.create_signal("u");
+            auto y = sys.create_signal("y");
+            auto& in = tb.make<lsf::from_tdf>("in", sys, u);
+            const auto tf = lsf::filters::butterworth_lowpass(3, 150e3);
+            tb.make<lsf::ltf_nd>("filter", sys, u, y, tf.num, tf.den);
+            auto& out = tb.make<lsf::to_tdf>("out", sys, y);
+            auto& sink = tb.make<drain>("sink");
+            tdf::connect(tone.out, in.inp);
+            auto& w = tdf::connect(out.outp, sink.in);
+            tb.probe("y", w);
+            tb.measure("y_final", [&w] { return w.last_value(); });
+            tb.set_sample_period(16_us);
+        });
+}
+
 /// Dynamic TDF: a retimer flips the cluster timestep every period, so the
 /// restore path must re-install the right compiled schedule (cache or
 /// recompile) before overlaying tokens.
@@ -405,6 +438,11 @@ TEST(snapshot, eln_switching_network) {
 TEST(snapshot, lsf_integrator) {
     define_lsf();
     expect_resume_bit_identical("snap_lsf", "y", "y_final", 500_us, 300_us);
+}
+
+TEST(snapshot, ltf_butterworth_restores_past_the_refactor_guard) {
+    define_ltf_butterworth();
+    expect_resume_bit_identical("snap_ltf_butterworth", "y", "y_final", 5_ms, 5_ms);
 }
 
 TEST(snapshot, dynamic_tdf_retiming) {
