@@ -1,10 +1,6 @@
 #include "core/run_backend.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,6 +16,7 @@
 #include <thread>
 
 #include "core/run_protocol.hpp"
+#include "util/net.hpp"
 #include "util/report.hpp"
 
 namespace sca::core {
@@ -65,11 +62,12 @@ void execute_in_thread(const run_set& rs, const std::vector<std::size_t>& pendin
 
 namespace {
 
-/// One connected worker as the dispatcher sees it: a stream fd, the run
-/// index currently executing there (-1 when idle), and — for forked
-/// subprocess workers — the pid to reap.
+/// One connected worker as the dispatcher sees it: a stream fd and its
+/// inbound frame buffer, the run index currently executing there (-1 when
+/// idle), and — for forked subprocess workers — the pid to reap.
 struct worker_conn {
-    int fd = -1;
+    net::unique_fd fd;
+    wire::frame_reader in;
     pid_t pid = -1;                // -1: remote worker, nothing to reap
     std::int64_t in_flight = -1;   // run index on the wire, -1 when idle
     int id = -1;                   // stable worker id stamped into run_result::worker
@@ -122,7 +120,7 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
         // Give `w` the next job; false when the worker is dead (peer gone).
         while (!queue.empty()) {
             const std::size_t index = queue.front();
-            if (!wire::write_frame(w.fd, wire::msg_type::job, wire::encode_job(index))) {
+            if (!wire::write_frame(w.fd.get(), wire::msg_type::job, wire::encode_job(index))) {
                 return false;  // job not sent — stays queued for someone else
             }
             queue.pop_front();
@@ -138,7 +136,7 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
             // never re-dispatched, so no run can ever execute twice within one
             // campaign — and a replacement is spawned while jobs remain.
             worker_conn& w = workers[slot];
-            ::close(w.fd);
+            w.fd.reset();  // a live but misbehaving child sees EOF and exits
             const std::string detail = w.pid >= 0 ? describe_exit(w.pid) : why;
             if (w.in_flight >= 0) {
                 const auto index = static_cast<std::size_t>(w.in_flight);
@@ -163,6 +161,33 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
         }
     }
 
+    // Handle one complete frame from `w`; false when the worker is dead.
+    auto on_frame = [&](worker_conn& w, const wire::frame& f) -> bool {
+        if (f.type == wire::msg_type::metrics) {
+            wire::run_metrics m = wire::decode_metrics(f.payload.data(), f.payload.size());
+            metrics_stash[m.index] = std::move(m.entries);
+            return true;  // the matching result frame follows
+        }
+        util::require(f.type == wire::msg_type::result, "run_backend",
+                      "unexpected frame type from worker");
+        run_result r = wire::decode_result(f.payload.data(), f.payload.size());
+        const std::size_t index = r.index;
+        util::require(index < results.size(), "run_backend",
+                      "worker reported an out-of-range run index");
+        util::require(w.in_flight >= 0 && static_cast<std::size_t>(w.in_flight) == index,
+                      "run_backend", "worker reported a result for a run it was not given");
+        results[index] = std::move(r);
+        results[index].worker = w.id;
+        if (auto it = metrics_stash.find(index); it != metrics_stash.end()) {
+            results[index].run_metrics = std::move(it->second);
+            metrics_stash.erase(it);
+        }
+        w.in_flight = -1;
+        deliver(results[index], /*completed=*/true);
+        --outstanding;
+        return assign(w);
+    };
+
     while (outstanding > 0) {
         if (workers.empty()) {
             // Every worker is gone and no respawn is possible: record what
@@ -178,7 +203,7 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
         }
         std::vector<pollfd> fds(workers.size());
         for (std::size_t i = 0; i < workers.size(); ++i) {
-            fds[i] = {workers[i].fd, POLLIN, 0};
+            fds[i] = {workers[i].fd.get(), POLLIN, 0};
         }
         int rc = ::poll(fds.data(), fds.size(), -1);
         if (rc < 0) {
@@ -191,42 +216,16 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
                 ++i;
                 continue;
             }
+            // One read per wake-up: a worker that sent half a frame leaves it
+            // buffered in its reader and never holds up the others.
+            worker_conn& w = workers[i];
             bool dead = false;
             try {
+                dead = w.in.fill(w.fd.get()) == wire::frame_reader::fill_status::eof;
                 wire::frame f;
-                if (!wire::read_frame(workers[i].fd, f)) {
-                    dead = true;  // clean EOF: worker gone between frames
-                } else if (f.type == wire::msg_type::metrics) {
-                    wire::run_metrics m =
-                        wire::decode_metrics(f.payload.data(), f.payload.size());
-                    metrics_stash[m.index] = std::move(m.entries);
-                    // The matching result frame follows on this fd; keep
-                    // polling (level-triggered, so it fires again).
-                } else {
-                    util::require(f.type == wire::msg_type::result, "run_backend",
-                                  "unexpected frame type from worker");
-                    run_result r = wire::decode_result(f.payload.data(), f.payload.size());
-                    const std::size_t index = r.index;
-                    util::require(index < results.size(), "run_backend",
-                                  "worker reported an out-of-range run index");
-                    util::require(workers[i].in_flight >= 0 &&
-                                      static_cast<std::size_t>(workers[i].in_flight) ==
-                                          index,
-                                  "run_backend",
-                                  "worker reported a result for a run it was not given");
-                    results[index] = std::move(r);
-                    results[index].worker = workers[i].id;
-                    if (auto it = metrics_stash.find(index); it != metrics_stash.end()) {
-                        results[index].run_metrics = std::move(it->second);
-                        metrics_stash.erase(it);
-                    }
-                    workers[i].in_flight = -1;
-                    deliver(results[index], /*completed=*/true);
-                    --outstanding;
-                    dead = !assign(workers[i]);
-                }
+                while (!dead && w.in.next(f)) dead = !on_frame(w, f);
             } catch (const util::error&) {
-                dead = true;  // torn frame: worker died mid-write
+                dead = true;  // corrupt frame or protocol violation
             }
             if (dead) {
                 retire(i, "worker connection lost");
@@ -239,8 +238,8 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
 
     // Campaign complete: shut the surviving workers down.
     for (worker_conn& w : workers) {
-        (void)wire::write_frame(w.fd, wire::msg_type::shutdown, {});
-        ::close(w.fd);
+        (void)wire::write_frame(w.fd.get(), wire::msg_type::shutdown, {});
+        w.fd.reset();
         if (w.pid >= 0) ::waitpid(w.pid, nullptr, 0);
     }
 }
@@ -257,24 +256,24 @@ namespace {
 /// (all other worker sockets are closed first) and leaves via _exit so no
 /// parent-side atexit/static-destructor state runs twice.
 worker_conn fork_worker(const run_set& rs, const std::vector<worker_conn>& existing) {
-    int sv[2];
-    util::require(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0, "run_backend",
-                  std::string("socketpair failed: ") + std::strerror(errno));
+    auto [parent_end, child_end] = net::stream_pair();
     const pid_t pid = ::fork();
     util::require(pid >= 0, "run_backend",
                   std::string("fork failed: ") + std::strerror(errno));
     if (pid == 0) {
-        ::close(sv[0]);
-        for (const worker_conn& w : existing) ::close(w.fd);
+        parent_end.reset();
+        for (const worker_conn& w : existing) ::close(w.fd.get());
         try {
-            run_worker_loop(rs, sv[1]);
+            run_worker_loop(rs, child_end.get());
         } catch (...) {
             ::_exit(1);
         }
         ::_exit(0);
     }
-    ::close(sv[1]);
-    return worker_conn{sv[0], pid, -1, -1};
+    worker_conn w;
+    w.fd = std::move(parent_end);
+    w.pid = pid;
+    return w;
 }
 
 }  // namespace
@@ -303,37 +302,6 @@ void execute_multiprocess(const run_set& rs, const std::vector<std::size_t>& pen
 
 // -------------------------------------------------------------- remote TCP --
 
-namespace {
-
-int connect_endpoint(const std::string& endpoint) {
-    const std::size_t colon = endpoint.rfind(':');
-    util::require(colon != std::string::npos, "run_backend",
-                  "endpoint '" + endpoint + "' is not of the form ip:port");
-    const std::string host = endpoint.substr(0, colon);
-    const int port = std::atoi(endpoint.c_str() + colon + 1);
-    util::require(port > 0 && port < 65536, "run_backend",
-                  "endpoint '" + endpoint + "' has an invalid port");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    util::require(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1, "run_backend",
-                  "endpoint '" + endpoint + "' is not a numeric IPv4 address");
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    util::require(fd >= 0, "run_backend",
-                  std::string("socket failed: ") + std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("run_backend", "cannot connect to worker endpoint '" +
-                                              endpoint + "': " + std::strerror(err));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return fd;
-}
-
-}  // namespace
-
 void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pending,
                         std::vector<run_result>& results,
                         const std::vector<std::string>& endpoints,
@@ -341,11 +309,10 @@ void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pendi
     util::require(!endpoints.empty(), "run_backend",
                   "remote_tcp backend needs at least one endpoint "
                   "(run_set::set_endpoints)");
-    std::vector<worker_conn> conns;
-    conns.reserve(endpoints.size());
-    for (const std::string& ep : endpoints) {
-        conns.push_back(worker_conn{connect_endpoint(ep), -1, -1,
-                                    static_cast<int>(conns.size())});
+    std::vector<worker_conn> conns(endpoints.size());
+    for (std::size_t i = 0; i < endpoints.size(); ++i) {
+        conns[i].fd = net::connect_tcp(endpoints[i]);
+        conns[i].id = static_cast<int>(i);
     }
     // No respawn: a dead endpoint is retired; its in-flight run is recorded
     // as lost and recomputable via the checkpoint journal.
@@ -357,66 +324,33 @@ void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pendi
 // -------------------------------------------------------------- worker side --
 
 void run_worker_loop(const run_set& rs, int fd) {
+    wire::frame_reader in;
     for (;;) {
         wire::frame f;
-        if (!wire::read_frame(fd, f)) return;  // parent gone: stop quietly
+        if (!in.read_blocking(fd, f)) return;  // parent gone: stop quietly
         if (f.type == wire::msg_type::shutdown) return;
         util::require(f.type == wire::msg_type::job, "run_backend",
                       "unexpected frame type on worker");
         const std::uint64_t index = wire::decode_job(f.payload.data(), f.payload.size());
         const run_result res = rs.run_one(static_cast<std::size_t>(index));
-        // Telemetry first, result second: the result frame is what retires
-        // the in-flight run on the parent, so its metrics are already
-        // stashed when it lands (and a parent that ignores metrics frames
-        // stays compatible — the v0 result payload is unchanged).
+        // Telemetry first, result second, in one write: the result frame is
+        // what retires the in-flight run on the parent, so its metrics are
+        // already stashed when it lands (and a parent that ignores metrics
+        // frames stays compatible — the v0 result payload is unchanged).
         wire::run_metrics m;
         m.index = index;
         m.entries = res.run_metrics;
-        if (!wire::write_frame(fd, wire::msg_type::metrics, wire::encode_metrics(m))) {
-            return;  // parent gone mid-result
-        }
-        if (!wire::write_frame(fd, wire::msg_type::result, wire::encode_result(res))) {
-            return;  // parent gone mid-result
-        }
+        std::vector<std::uint8_t> out;
+        wire::append_frame(out, wire::msg_type::metrics, wire::encode_metrics(m));
+        wire::append_frame(out, wire::msg_type::result, wire::encode_result(res));
+        if (!net::write_all(fd, out.data(), out.size())) return;  // parent gone
     }
-}
-
-int listen_tcp(std::uint16_t& port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    util::require(fd >= 0, "run_backend",
-                  std::string("socket failed: ") + std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(fd, 128) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("run_backend",
-                           std::string("cannot listen on 127.0.0.1: ") + std::strerror(err));
-    }
-    socklen_t len = sizeof addr;
-    util::require(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-                  "run_backend", "getsockname failed");
-    port = ntohs(addr.sin_port);
-    return fd;
 }
 
 void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions) {
     for (unsigned served = 0; max_sessions == 0 || served < max_sessions; ++served) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
-            util::report_fatal("run_backend",
-                               std::string("accept failed: ") + std::strerror(errno));
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        run_worker_loop(rs, fd);
-        ::close(fd);
+        const net::unique_fd fd = net::accept_client(listen_fd);
+        run_worker_loop(rs, fd.get());
     }
 }
 

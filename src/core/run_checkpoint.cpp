@@ -127,31 +127,27 @@ checkpoint_writer::checkpoint_writer(const std::string& path,
     // Append mode: a resume keeps extending the same journal, so across the
     // whole campaign every completed index appears exactly once.
     const bool fresh = ::access(path.c_str(), F_OK) != 0;
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    util::require(fd_ >= 0, "run_checkpoint",
+    fd_.reset(::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644));
+    util::require(fd_.get() >= 0, "run_checkpoint",
                   "cannot open journal '" + path + "' for append: " +
                       std::string(std::strerror(errno)));
     if (fresh) {
-        util::require(wire::write_frame(fd_, wire::msg_type::header, encode_fingerprint(fp)),
+        util::require(wire::write_frame(fd_.get(), wire::msg_type::header, encode_fingerprint(fp)),
                       "run_checkpoint", "journal header write failed");
     }
 }
 
-checkpoint_writer::~checkpoint_writer() {
-    if (fd_ >= 0) ::close(fd_);
-}
-
 void checkpoint_writer::append(const run_result& r) {
-    util::require(wire::write_frame(fd_, wire::msg_type::result, wire::encode_result(r)),
+    util::require(wire::write_frame(fd_.get(), wire::msg_type::result, wire::encode_result(r)),
                   "run_checkpoint", "journal append failed");
-    ::fsync(fd_);
+    ::fsync(fd_.get());
 }
 
 void checkpoint_writer::append_snapshot(const std::vector<std::uint8_t>& snapshot_payload) {
     util::require(
-        wire::write_frame(fd_, wire::msg_type::snapshot_state, snapshot_payload),
+        wire::write_frame(fd_.get(), wire::msg_type::snapshot_state, snapshot_payload),
         "run_checkpoint", "journal snapshot append failed");
-    ::fsync(fd_);
+    ::fsync(fd_.get());
 }
 
 std::map<std::size_t, run_result> load_checkpoint(const std::string& path,

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "core/run_set.hpp"
+#include "util/net.hpp"
 
 namespace sca::core {
 
@@ -41,10 +42,6 @@ struct checkpoint_fingerprint {
 class checkpoint_writer {
 public:
     checkpoint_writer(const std::string& path, const checkpoint_fingerprint& fp);
-    ~checkpoint_writer();
-
-    checkpoint_writer(const checkpoint_writer&) = delete;
-    checkpoint_writer& operator=(const checkpoint_writer&) = delete;
 
     /// Append one completed result and flush it to the OS, so the record
     /// survives the parent dying right after.
@@ -57,7 +54,7 @@ public:
     void append_snapshot(const std::vector<std::uint8_t>& snapshot_payload);
 
 private:
-    int fd_ = -1;
+    net::unique_fd fd_;
 };
 
 /// Completed results recovered from a journal, keyed by run index.  A

@@ -1,6 +1,5 @@
 #include "core/run_protocol.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <bit>
@@ -9,6 +8,7 @@
 #include <string>
 #include <variant>
 
+#include "util/net.hpp"
 #include "util/report.hpp"
 
 namespace sca::core::wire {
@@ -508,141 +508,110 @@ run_metrics decode_metrics(const std::uint8_t* data, std::size_t n) {
 
 // ----------------------------------------------------------------- frames --
 
+void append_frame(std::vector<std::uint8_t>& out, msg_type type,
+                  const std::vector<std::uint8_t>& payload) {
+    if (payload.size() > k_max_payload) {
+        util::report_fatal("run_protocol", "frame payload exceeds the " +
+                                               std::to_string(k_max_payload) +
+                                               "-byte protocol limit");
+    }
+    const auto put_u32 = [&out](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put_u32(k_magic);
+    put_u32(static_cast<std::uint32_t>(payload.size()));
+    out.push_back(static_cast<std::uint8_t>(type));
+    out.insert(out.end(), payload.begin(), payload.end());
+    put_u32(fnv1a(payload.data(), payload.size()));
+}
+
 std::vector<std::uint8_t> pack_frame(msg_type type,
                                      const std::vector<std::uint8_t>& payload) {
-    util::require(payload.size() <= k_max_payload, "run_protocol",
-                  "frame payload exceeds the " + std::to_string(k_max_payload) +
-                      "-byte protocol limit");
-    writer w;
-    w.buf.reserve(payload.size() + 13);
-    w.put_u32(k_magic);
-    w.put_u32(static_cast<std::uint32_t>(payload.size()));
-    w.put_u8(static_cast<std::uint8_t>(type));
-    w.buf.insert(w.buf.end(), payload.begin(), payload.end());
-    w.put_u32(fnv1a(payload.data(), payload.size()));
-    return std::move(w.buf);
-}
-
-namespace {
-
-/// Shared frame-type validation: types 1..k_max_msg_type are assigned (the
-/// run_set originals plus the session protocol), everything else is rejected.
-bool known_type(std::uint8_t t) noexcept {
-    return t >= static_cast<std::uint8_t>(msg_type::job) && t <= k_max_msg_type;
-}
-
-}  // namespace
-
-bool unpack_frame(const std::uint8_t* data, std::size_t size, std::size_t& offset,
-                  frame& out) {
-    if (offset == size) return false;
-    reader r{data, size, offset};
-    const std::uint32_t magic = r.get_u32();
-    util::require(magic == k_magic, "run_protocol", "bad frame magic");
-    const std::uint32_t len = r.get_u32();
-    util::require(len <= k_max_payload, "run_protocol",
-                  "frame payload length " + std::to_string(len) +
-                      " exceeds the protocol limit");
-    const std::uint8_t type_byte = r.get_u8();
-    util::require(known_type(type_byte), "run_protocol", "unknown frame type");
-    const auto type = static_cast<msg_type>(type_byte);
-    r.need(len);
-    out.type = type;
-    out.payload.assign(r.data + r.pos, r.data + r.pos + len);
-    r.pos += len;
-    const std::uint32_t sum = r.get_u32();
-    util::require(sum == fnv1a(out.payload.data(), out.payload.size()), "run_protocol",
-                  "frame checksum mismatch");
-    offset = r.pos;
-    return true;
+    std::vector<std::uint8_t> bytes;
+    bytes.reserve(payload.size() + 13);
+    append_frame(bytes, type, payload);
+    return bytes;
 }
 
 std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size) {
     if (size < 9) return 0;  // header incomplete: read more
-    std::uint32_t magic = 0, len = 0;
-    for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(data[i]) << (8 * i);
-    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(data[4 + i]) << (8 * i);
-    util::require(magic == k_magic, "run_protocol", "bad frame magic");
-    util::require(len <= k_max_payload, "run_protocol",
-                  "frame payload length " + std::to_string(len) +
-                      " exceeds the protocol limit");
+    reader r{data, size};
+    util::require(r.get_u32() == k_magic, "run_protocol", "bad frame magic");
+    const std::uint32_t len = r.get_u32();
+    if (len > k_max_payload) {
+        util::report_fatal("run_protocol", "frame payload length " + std::to_string(len) +
+                                               " exceeds the protocol limit");
+    }
+    // Types 1..k_max_msg_type are assigned (the run_set originals plus the
+    // session protocol); everything else is rejected.
+    const std::uint8_t type = r.get_u8();
+    util::require(type >= static_cast<std::uint8_t>(msg_type::job) && type <= k_max_msg_type,
+                  "run_protocol", "unknown frame type");
     return 13 + static_cast<std::size_t>(len);  // header + payload + checksum
 }
 
-namespace {
-
-/// send() with MSG_NOSIGNAL where the fd is a socket, plain write() where it
-/// is not (journal files): writing to a dead peer must return EPIPE instead
-/// of raising SIGPIPE.
-ssize_t write_some(int fd, const std::uint8_t* data, std::size_t n) {
-    ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data, n);
-    return w;
-}
-
-}  // namespace
-
-bool write_frame(int fd, msg_type type, const std::vector<std::uint8_t>& payload) {
-    const std::vector<std::uint8_t> bytes = pack_frame(type, payload);
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t w = write_some(fd, bytes.data() + off, bytes.size() - off);
-        if (w < 0) {
-            if (errno == EINTR) continue;
-            if (errno == EPIPE || errno == ECONNRESET) return false;
-            util::report_fatal("run_protocol",
-                               std::string("frame write failed: ") + std::strerror(errno));
-        }
-        off += static_cast<std::size_t>(w);
+bool unpack_frame(const std::uint8_t* data, std::size_t size, std::size_t& offset,
+                  frame& out) {
+    if (offset == size) return false;
+    const std::size_t n = frame_size_hint(data + offset, size - offset);
+    if (n == 0 || n > size - offset) {
+        util::report_fatal("run_protocol", "truncated frame: " + std::to_string(size - offset) +
+                                               " bytes at offset " + std::to_string(offset));
     }
+    const std::uint8_t* f = data + offset;
+    out.type = static_cast<msg_type>(f[8]);
+    out.payload.assign(f + 9, f + n - 4);
+    reader trailer{f + n - 4, 4};
+    util::require(trailer.get_u32() == fnv1a(out.payload.data(), out.payload.size()),
+                  "run_protocol", "frame checksum mismatch");
+    offset += n;
     return true;
 }
 
-namespace {
-
-/// Read exactly `n` bytes from a blocking fd.  Returns 0 on immediate EOF,
-/// n on success; throws on EOF mid-read or I/O error.
-std::size_t read_exact(int fd, std::uint8_t* data, std::size_t n, bool eof_ok) {
-    std::size_t off = 0;
-    while (off < n) {
-        const ssize_t r = ::read(fd, data + off, n - off);
-        if (r < 0) {
-            if (errno == EINTR) continue;
-            util::report_fatal("run_protocol",
-                               std::string("frame read failed: ") + std::strerror(errno));
-        }
-        if (r == 0) {
-            if (off == 0 && eof_ok) return 0;
-            util::report_fatal("run_protocol", "truncated frame: EOF mid-message");
-        }
-        off += static_cast<std::size_t>(r);
-    }
-    return n;
+bool write_frame(int fd, msg_type type, const std::vector<std::uint8_t>& payload) {
+    const std::vector<std::uint8_t> bytes = pack_frame(type, payload);
+    return net::write_all(fd, bytes.data(), bytes.size());
 }
 
-}  // namespace
+// ----------------------------------------------------------- frame_reader --
 
-bool read_frame(int fd, frame& out) {
-    std::uint8_t header[9];
-    if (read_exact(fd, header, sizeof header, /*eof_ok=*/true) == 0) return false;
-    std::uint32_t magic = 0, len = 0;
-    for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-    util::require(magic == k_magic, "run_protocol", "bad frame magic on stream");
-    util::require(len <= k_max_payload, "run_protocol",
-                  "frame payload length " + std::to_string(len) +
-                      " exceeds the protocol limit");
-    util::require(known_type(header[8]), "run_protocol", "unknown frame type on stream");
-    const auto type = static_cast<msg_type>(header[8]);
-    out.type = type;
-    out.payload.resize(len);
-    if (len > 0) read_exact(fd, out.payload.data(), len, /*eof_ok=*/false);
-    std::uint8_t sum_bytes[4];
-    read_exact(fd, sum_bytes, sizeof sum_bytes, /*eof_ok=*/false);
-    std::uint32_t sum = 0;
-    for (int i = 0; i < 4; ++i) sum |= static_cast<std::uint32_t>(sum_bytes[i]) << (8 * i);
-    util::require(sum == fnv1a(out.payload.data(), out.payload.size()), "run_protocol",
-                  "frame checksum mismatch on stream");
+constexpr std::size_t k_read_chunk = 64 * 1024;
+
+frame_reader::fill_status frame_reader::fill(int fd) {
+    // Compact: only a partial frame is ever left behind by next().
+    if (begin_ > 0) {
+        std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+        end_ -= begin_;
+        begin_ = 0;
+    }
+    if (buf_.size() - end_ < k_read_chunk) buf_.resize(end_ + k_read_chunk);
+    for (;;) {
+        const ssize_t r = ::read(fd, buf_.data() + end_, buf_.size() - end_);
+        if (r > 0) {
+            end_ += static_cast<std::size_t>(r);
+            return fill_status::data;
+        }
+        if (r < 0 && errno == EINTR) continue;
+        if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            return fill_status::would_block;
+        }
+        return fill_status::eof;  // orderly shutdown, ECONNRESET and friends
+    }
+}
+
+bool frame_reader::next(frame& out) {
+    const std::size_t n = frame_size_hint(buf_.data() + begin_, end_ - begin_);
+    if (n == 0 || n > end_ - begin_) return false;
+    return unpack_frame(buf_.data(), end_, begin_, out);
+}
+
+bool frame_reader::read_blocking(int fd, frame& out) {
+    while (!next(out)) {
+        if (fill(fd) == fill_status::eof) {
+            util::require(begin_ == end_, "run_protocol", "truncated frame: EOF mid-message");
+            return false;
+        }
+    }
     return true;
 }
 

@@ -245,36 +245,56 @@ struct run_metrics {
 [[nodiscard]] std::vector<std::uint8_t> encode_metrics(const run_metrics& m);
 [[nodiscard]] run_metrics decode_metrics(const std::uint8_t* data, std::size_t n);
 
-/// Serialize a full frame (header + payload + checksum) into a byte buffer —
-/// what write_frame() puts on the wire and the journal appends to disk.
+/// Append one full frame (header + payload + checksum) to `out` — the single
+/// frame serializer behind pack_frame(), write_frame() and the server's
+/// per-connection outbound buffer.
+void append_frame(std::vector<std::uint8_t>& out, msg_type type,
+                  const std::vector<std::uint8_t>& payload);
+
+/// A full frame as its own byte buffer (snapshot files, tests).
 [[nodiscard]] std::vector<std::uint8_t> pack_frame(msg_type type,
                                                    const std::vector<std::uint8_t>& payload);
+
+/// Size in bytes of the complete frame starting at data[0], parsing only the
+/// header: 0 when fewer than the 9 header bytes are available yet ("read
+/// more"), the full frame length otherwise.  This is the only frame-header
+/// parser: it validates magic, length and type, so a reader rejects a
+/// garbage stream after 9 bytes instead of buffering up to k_max_payload.
+[[nodiscard]] std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size);
 
 /// Parse one frame from `data`; advances `offset` past it.  Returns false on
 /// a clean end (no bytes left), throws on truncation/corruption.
 bool unpack_frame(const std::uint8_t* data, std::size_t size, std::size_t& offset,
                   frame& out);
 
-/// Size in bytes of the complete frame starting at data[0], parsing only the
-/// header: 0 when fewer than the 9 header bytes are available yet ("read
-/// more"), the full frame length otherwise.  Validates magic and length so a
-/// server can reject a garbage stream before buffering k_max_payload bytes.
-/// This is what lets a non-blocking reader distinguish "frame still in
-/// flight" (wait) from "frame torn/corrupt" (throw) — unpack_frame alone
-/// treats both as truncation.
-[[nodiscard]] std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size);
-
 // ------------------------------------------------------------- fd framing --
 
-/// Write a frame to a socket/pipe fd (retries short writes, suppresses
+/// Write a frame to a socket/pipe/file fd (retries short writes, suppresses
 /// SIGPIPE).  Returns false when the peer is gone (EPIPE/ECONNRESET), throws
 /// on other I/O errors.
 bool write_frame(int fd, msg_type type, const std::vector<std::uint8_t>& payload);
 
-/// Read one frame from a blocking fd.  Returns false on clean EOF before any
-/// header byte; throws on mid-frame EOF, bad magic, oversized payload, or
-/// checksum mismatch.
-bool read_frame(int fd, frame& out);
+/// Inbound frame buffer for one stream fd: the run_set dispatcher, its
+/// workers, the sim_server connections and the client all read through it.
+/// fill() does a single read, so a poll()-driven caller never waits on a peer
+/// that sent half a frame.
+class frame_reader {
+public:
+    enum class fill_status { data, would_block, eof };
+
+    /// One read() into the buffer; `eof` also covers connection errors.
+    fill_status fill(int fd);
+    /// Next complete buffered frame; false when none is.  Throws on garbage.
+    bool next(frame& out);
+    /// Block until a whole frame arrives on a blocking fd.  False on EOF
+    /// between frames; throws on EOF mid-frame or a corrupt frame.
+    bool read_blocking(int fd, frame& out);
+
+private:
+    std::vector<std::uint8_t> buf_;  ///< storage; [begin_, end_) is unread
+    std::size_t begin_ = 0;
+    std::size_t end_ = 0;
+};
 
 }  // namespace sca::core::wire
 

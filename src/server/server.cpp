@@ -1,22 +1,14 @@
 #include "server/server.hpp"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <arpa/inet.h>
-
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "core/run_backend.hpp"
 #include "core/scenario.hpp"
 #include "server/session.hpp"
 #include "util/report.hpp"
@@ -32,41 +24,13 @@ namespace {
 /// where sample batches drop instead of growing the heap without bound.
 constexpr std::size_t k_outbuf_high_watermark = 256 * 1024;
 
-constexpr std::size_t k_read_chunk = 64 * 1024;
-
-void set_nonblocking(int fd) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    util::require(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                  "sim_server", std::string("fcntl failed: ") + std::strerror(errno));
-}
-
-int listen_unix(const std::string& path) {
-    util::require(path.size() < sizeof(sockaddr_un{}.sun_path), "sim_server",
-                  "AF_UNIX path '" + path + "' is too long");
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    util::require(fd >= 0, "sim_server",
-                  std::string("socket failed: ") + std::strerror(errno));
-    ::unlink(path.c_str());  // stale socket from a previous run
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(fd, 128) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("sim_server", "cannot listen on AF_UNIX path '" + path +
-                                             "': " + std::strerror(err));
-    }
-    return fd;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- connection --
 
 struct sim_server::connection {
-    int fd = -1;
-    std::vector<std::uint8_t> inbuf;
+    net::unique_fd fd;
+    wire::frame_reader in;
     std::vector<std::uint8_t> outbuf;
     std::size_t out_pos = 0;  ///< bytes of outbuf already written
     std::unique_ptr<session> sess;
@@ -86,19 +50,19 @@ void sim_server::start() {
     int pipefd[2];
     util::require(::pipe(pipefd) == 0, "sim_server",
                   std::string("pipe failed: ") + std::strerror(errno));
-    wake_read_fd_ = pipefd[0];
-    wake_write_fd_ = pipefd[1];
-    set_nonblocking(wake_read_fd_);
-    set_nonblocking(wake_write_fd_);
+    wake_read_fd_.reset(pipefd[0]);
+    wake_write_fd_.reset(pipefd[1]);
+    net::set_nonblocking(wake_read_fd_.get());
+    net::set_nonblocking(wake_write_fd_.get());
 
     if (opt_.tcp) {
         port_ = opt_.port;
-        listen_tcp_fd_ = core::listen_tcp(port_);
-        set_nonblocking(listen_tcp_fd_);
+        listen_tcp_fd_ = net::listen_tcp(port_);
+        net::set_nonblocking(listen_tcp_fd_.get());
     }
     if (!opt_.unix_path.empty()) {
-        listen_unix_fd_ = listen_unix(opt_.unix_path);
-        set_nonblocking(listen_unix_fd_);
+        listen_unix_fd_ = net::listen_unix(opt_.unix_path);
+        net::set_nonblocking(listen_unix_fd_.get());
     }
 
     stop_requested_.store(false, std::memory_order_relaxed);
@@ -111,46 +75,29 @@ void sim_server::stop() {
     stop_requested_.store(true, std::memory_order_release);
     wake();
     io_.join();
-    if (listen_tcp_fd_ >= 0) ::close(listen_tcp_fd_);
-    if (listen_unix_fd_ >= 0) {
-        ::close(listen_unix_fd_);
+    listen_tcp_fd_.reset();
+    if (listen_unix_fd_) {
+        listen_unix_fd_.reset();
         ::unlink(opt_.unix_path.c_str());
     }
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_tcp_fd_ = listen_unix_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+    wake_read_fd_.reset();
+    wake_write_fd_.reset();
     started_ = false;
 }
 
 void sim_server::wake() const {
     const std::uint8_t byte = 1;
     // A full pipe already guarantees a pending wake-up; EAGAIN is success.
-    [[maybe_unused]] const ssize_t w = ::write(wake_write_fd_, &byte, 1);
+    [[maybe_unused]] const ssize_t w = ::write(wake_write_fd_.get(), &byte, 1);
 }
 
-void sim_server::accept_clients(int listen_fd, bool tcp) {
-    for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-            util::report_fatal("sim_server",
-                               std::string("accept failed: ") + std::strerror(errno));
-        }
-        set_nonblocking(fd);
-        if (tcp) {
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        }
+void sim_server::accept_clients(int listen_fd) {
+    while (net::unique_fd fd = net::accept_client(listen_fd)) {
+        net::set_nonblocking(fd.get());
         auto conn = std::make_unique<connection>();
-        conn->fd = fd;
+        conn->fd = std::move(fd);
         conns_.push_back(std::move(conn));
     }
-}
-
-void sim_server::queue_reply(connection& c, wire::msg_type type,
-                             const std::vector<std::uint8_t>& payload) {
-    const std::vector<std::uint8_t> bytes = wire::pack_frame(type, payload);
-    c.outbuf.insert(c.outbuf.end(), bytes.begin(), bytes.end());
 }
 
 void sim_server::handle_frame(connection& c, const wire::frame& f) {
@@ -159,22 +106,23 @@ void sim_server::handle_frame(connection& c, const wire::frame& f) {
             // Version negotiation: decode validates the client's byte, the
             // reply tells the client what the server actually speaks.
             (void)wire::decode_hello(f.payload.data(), f.payload.size());
-            queue_reply(c, wire::msg_type::hello,
-                        wire::encode_hello(wire::k_session_version));
+            wire::append_frame(c.outbuf, wire::msg_type::hello,
+                               wire::encode_hello(wire::k_session_version));
             break;
         case wire::msg_type::catalog: {
             std::vector<wire::catalog_entry> entries;
             for (const std::string& name : core::scenario::names()) {
                 entries.push_back({name, core::scenario::find(name).defaults()});
             }
-            queue_reply(c, wire::msg_type::catalog, wire::encode_catalog(entries));
+            wire::append_frame(c.outbuf, wire::msg_type::catalog,
+                               wire::encode_catalog(entries));
             break;
         }
         case wire::msg_type::open: {
             if (c.sess) {
-                queue_reply(c, wire::msg_type::error,
-                            wire::encode_error(
-                                "sim_server: connection already has an open session"));
+                wire::append_frame(
+                    c.outbuf, wire::msg_type::error,
+                    wire::encode_error("sim_server: connection already has an open session"));
                 break;
             }
             const wire::open_request req =
@@ -204,15 +152,15 @@ void sim_server::handle_frame(connection& c, const wire::frame& f) {
             if (c.sess) {
                 c.sess->enqueue(f);
             } else {
-                queue_reply(c, wire::msg_type::error,
-                            wire::encode_error("sim_server: no open session"));
+                wire::append_frame(c.outbuf, wire::msg_type::error,
+                                   wire::encode_error("sim_server: no open session"));
             }
             break;
         default:
             // A worker-protocol frame (job/result/shutdown/header) on a
             // session socket: tell the client and hang up after the flush.
-            queue_reply(
-                c, wire::msg_type::error,
+            wire::append_frame(
+                c.outbuf, wire::msg_type::error,
                 wire::encode_error("sim_server: frame type not valid on a session "
                                    "connection"));
             c.close_after_flush = true;
@@ -221,44 +169,19 @@ void sim_server::handle_frame(connection& c, const wire::frame& f) {
 }
 
 void sim_server::on_readable(connection& c) {
-    for (;;) {
-        const std::size_t old = c.inbuf.size();
-        c.inbuf.resize(old + k_read_chunk);
-        const ssize_t r = ::recv(c.fd, c.inbuf.data() + old, k_read_chunk, 0);
-        if (r > 0) {
-            c.inbuf.resize(old + static_cast<std::size_t>(r));
-            if (static_cast<std::size_t>(r) < k_read_chunk) break;
-            continue;
-        }
-        c.inbuf.resize(old);
-        if (r == 0) {  // orderly shutdown
-            c.dead = true;
-            return;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-        c.dead = true;  // ECONNRESET and friends
+    if (c.in.fill(c.fd.get()) == wire::frame_reader::fill_status::eof) {
+        c.dead = true;
         return;
     }
-
-    // Incremental parse: a partial frame waits for more bytes, a torn or
-    // corrupt one (bad magic/length/checksum) is a protocol violation.
-    std::size_t offset = 0;
+    // A partial frame stays buffered until more bytes arrive; a torn or
+    // corrupt one (bad magic/length/type/checksum) is a protocol violation.
     try {
-        while (offset < c.inbuf.size()) {
-            const std::size_t need =
-                wire::frame_size_hint(c.inbuf.data() + offset, c.inbuf.size() - offset);
-            if (need == 0 || c.inbuf.size() - offset < need) break;
-            wire::frame f;
-            (void)wire::unpack_frame(c.inbuf.data(), c.inbuf.size(), offset, f);
-            handle_frame(c, f);
-            if (c.close_after_flush) break;
-        }
+        wire::frame f;
+        while (!c.close_after_flush && c.in.next(f)) handle_frame(c, f);
     } catch (const std::exception& e) {
-        queue_reply(c, wire::msg_type::error, wire::encode_error(e.what()));
+        wire::append_frame(c.outbuf, wire::msg_type::error, wire::encode_error(e.what()));
         c.close_after_flush = true;
     }
-    c.inbuf.erase(c.inbuf.begin(),
-                  c.inbuf.begin() + static_cast<std::ptrdiff_t>(offset));
 }
 
 void sim_server::pump_outbound(connection& c) {
@@ -270,13 +193,13 @@ void sim_server::pump_outbound(connection& c) {
     outbound_frame f;
     while (c.outbuf.size() - c.out_pos < k_outbuf_high_watermark &&
            c.sess->out().pop(f)) {
-        queue_reply(c, f.type, f.payload);
+        wire::append_frame(c.outbuf, f.type, f.payload);
     }
 }
 
 bool sim_server::flush(connection& c) {
     while (c.out_pos < c.outbuf.size()) {
-        const ssize_t w = ::send(c.fd, c.outbuf.data() + c.out_pos,
+        const ssize_t w = ::send(c.fd.get(), c.outbuf.data() + c.out_pos,
                                  c.outbuf.size() - c.out_pos, MSG_NOSIGNAL);
         if (w > 0) {
             c.out_pos += static_cast<std::size_t>(w);
@@ -305,7 +228,6 @@ void sim_server::destroy_connection(std::size_t index) {
         c.sess->join();
         active_sessions_.fetch_sub(1, std::memory_order_relaxed);
     }
-    ::close(c.fd);
     conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(index));
 }
 
@@ -319,14 +241,14 @@ void sim_server::io_body() {
         }
 
         fds.clear();
-        fds.push_back({wake_read_fd_, POLLIN, 0});
-        if (listen_tcp_fd_ >= 0) fds.push_back({listen_tcp_fd_, POLLIN, 0});
-        if (listen_unix_fd_ >= 0) fds.push_back({listen_unix_fd_, POLLIN, 0});
+        fds.push_back({wake_read_fd_.get(), POLLIN, 0});
+        if (listen_tcp_fd_) fds.push_back({listen_tcp_fd_.get(), POLLIN, 0});
+        if (listen_unix_fd_) fds.push_back({listen_unix_fd_.get(), POLLIN, 0});
         const std::size_t first_conn = fds.size();
         for (auto& cp : conns_) {
             short events = POLLIN;
             if (cp->out_pos < cp->outbuf.size()) events |= POLLOUT;
-            fds.push_back({cp->fd, events, 0});
+            fds.push_back({cp->fd.get(), events, 0});
         }
 
         const int n = ::poll(fds.data(), fds.size(), 100);
@@ -339,17 +261,13 @@ void sim_server::io_body() {
         std::size_t k = 0;
         if (fds[k].revents & POLLIN) {  // drain the wake pipe
             std::uint8_t buf[256];
-            while (::read(wake_read_fd_, buf, sizeof buf) > 0) {
+            while (::read(wake_read_fd_.get(), buf, sizeof buf) > 0) {
             }
         }
         ++k;
-        if (listen_tcp_fd_ >= 0) {
-            if (fds[k].revents & POLLIN) accept_clients(listen_tcp_fd_, true);
-            ++k;
-        }
-        if (listen_unix_fd_ >= 0) {
-            if (fds[k].revents & POLLIN) accept_clients(listen_unix_fd_, false);
-            ++k;
+        for (const net::unique_fd* l : {&listen_tcp_fd_, &listen_unix_fd_}) {
+            if (!*l) continue;
+            if (fds[k++].revents & POLLIN) accept_clients(l->get());
         }
 
         // New connections accepted above are not in fds; they are polled on
@@ -362,7 +280,7 @@ void sim_server::io_body() {
             const short rev = fds[first_conn + i].revents;
             if (rev & (POLLERR | POLLHUP | POLLNVAL)) {
                 // Keep reading after POLLHUP: the peer may have sent frames
-                // then shut down; recv() returning 0 marks the end.
+                // then shut down; a read returning 0 marks the end.
                 if (!(rev & POLLIN)) c.dead = true;
             }
             if (!c.dead && (rev & POLLIN)) on_readable(c);
@@ -383,82 +301,22 @@ void sim_server::io_body() {
 
 // ------------------------------------------------------------------ client --
 
-client::~client() { close(); }
-
-client::client(client&& other) noexcept
-    : fd_(other.fd_),
-      waves_(std::move(other.waves_)),
-      errors_(std::move(other.errors_)),
-      last_pace_(other.last_pace_) {
-    other.fd_ = -1;
-}
-
-client& client::operator=(client&& other) noexcept {
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        waves_ = std::move(other.waves_);
-        errors_ = std::move(other.errors_);
-        last_pace_ = other.last_pace_;
-        other.fd_ = -1;
-    }
-    return *this;
-}
-
-void client::close() {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
 client client::connect_tcp(const std::string& host, std::uint16_t port) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    util::require(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-                  "sim_client", "'" + host + "' is not a numeric IPv4 address");
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    util::require(fd >= 0, "sim_client",
-                  std::string("socket failed: ") + std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("sim_client", "cannot connect to " + host + ":" +
-                                             std::to_string(port) + ": " +
-                                             std::strerror(err));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return client(fd);
+    return client(net::connect_tcp(host + ":" + std::to_string(port)));
 }
 
 client client::connect_unix(const std::string& path) {
-    util::require(path.size() < sizeof(sockaddr_un{}.sun_path), "sim_client",
-                  "AF_UNIX path '" + path + "' is too long");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    util::require(fd >= 0, "sim_client",
-                  std::string("socket failed: ") + std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("sim_client", "cannot connect to AF_UNIX path '" + path +
-                                             "': " + std::strerror(err));
-    }
-    return client(fd);
+    return client(net::connect_unix(path));
 }
 
 void client::send(wire::msg_type type, const std::vector<std::uint8_t>& payload) {
-    util::require(wire::write_frame(fd_, type, payload), "sim_client",
+    util::require(wire::write_frame(fd_.get(), type, payload), "sim_client",
                   "server closed the connection");
 }
 
 wire::frame client::read_frame() {
     wire::frame f;
-    util::require(wire::read_frame(fd_, f), "sim_client",
+    util::require(in_.read_blocking(fd_.get(), f), "sim_client",
                   "server closed the connection");
     return f;
 }

@@ -34,6 +34,7 @@
 
 #include "core/run_protocol.hpp"
 #include "kernel/time.hpp"
+#include "util/net.hpp"
 
 namespace sca::server {
 
@@ -88,11 +89,9 @@ private:
     struct connection;
 
     void io_body();
-    void accept_clients(int listen_fd, bool tcp);
+    void accept_clients(int listen_fd);
     void on_readable(connection& c);
     void handle_frame(connection& c, const core::wire::frame& f);
-    void queue_reply(connection& c, core::wire::msg_type type,
-                     const std::vector<std::uint8_t>& payload);
     void pump_outbound(connection& c);
     [[nodiscard]] bool flush(connection& c);  // false = peer gone
     void destroy_connection(std::size_t index);
@@ -100,10 +99,10 @@ private:
 
     options opt_;
     std::uint16_t port_ = 0;
-    int listen_tcp_fd_ = -1;
-    int listen_unix_fd_ = -1;
-    int wake_read_fd_ = -1;
-    int wake_write_fd_ = -1;
+    net::unique_fd listen_tcp_fd_;
+    net::unique_fd listen_unix_fd_;
+    net::unique_fd wake_read_fd_;
+    net::unique_fd wake_write_fd_;
     std::thread io_;
     bool started_ = false;
     std::atomic<bool> stop_requested_{false};
@@ -122,12 +121,6 @@ private:
 class client {
 public:
     client() = default;
-    ~client();
-
-    client(client&& other) noexcept;
-    client& operator=(client&& other) noexcept;
-    client(const client&) = delete;
-    client& operator=(const client&) = delete;
 
     [[nodiscard]] static client connect_tcp(const std::string& host, std::uint16_t port);
     [[nodiscard]] static client connect_unix(const std::string& path);
@@ -204,15 +197,16 @@ public:
     /// Stats frames absorbed so far (0 = last_stats() not yet meaningful).
     [[nodiscard]] std::uint64_t stats_frames() const noexcept { return stats_frames_; }
 
-    void close();
-    [[nodiscard]] int fd() const noexcept { return fd_; }
+    void close() { fd_.reset(); }
+    [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
 private:
-    explicit client(int fd) : fd_(fd) {}
+    explicit client(net::unique_fd fd) : fd_(std::move(fd)) {}
 
     void send(core::wire::msg_type type, const std::vector<std::uint8_t>& payload);
 
-    int fd_ = -1;
+    net::unique_fd fd_;
+    core::wire::frame_reader in_;
     std::map<std::string, waveform> waves_;
     std::vector<std::string> errors_;
     core::wire::pace_info last_pace_{};

@@ -4,10 +4,11 @@
 // a run that throws records `error` without poisoning the table on every
 // backend; a SIGKILLed worker costs only its in-flight run; and a checkpoint
 // journal lets the campaign resume with every run index computed exactly
-// once.
+// once.  A remote endpoint that stalls mid-frame must not hold up the
+// others, and a refused endpoint must not leak the connections already made.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
+#include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,22 +17,27 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/run_backend.hpp"
 #include "core/run_checkpoint.hpp"
+#include "core/run_protocol.hpp"
 #include "core/run_set.hpp"
 #include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
 #include "util/measure.hpp"
+#include "util/net.hpp"
 
 namespace core = sca::core;
 namespace de = sca::de;
 namespace eln = sca::eln;
+namespace net = sca::net;
+namespace wire = sca::core::wire;
 using namespace sca::de::literals;
 
 namespace {
@@ -90,6 +96,14 @@ std::string csv_of(const core::result_table& t) {
     std::ostringstream os;
     t.write_csv(os);
     return os.str();
+}
+
+std::size_t open_fd_count() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+        ++n;
+    }
+    return n;
 }
 
 std::string temp_journal(const std::string& tag) {
@@ -280,7 +294,7 @@ TEST(run_backend, remote_tcp_worker_matches_sequential) {
     const auto rc = define_rc("tcp");
     const auto rs = make_grid_set(rc);
     std::uint16_t port = 0;
-    const int listen_fd = core::listen_tcp(port);
+    const int listen_fd = net::listen_tcp(port).release();
     ASSERT_GT(listen_fd, 0);
     ASSERT_NE(port, 0);
     const pid_t server = fork();
@@ -299,6 +313,95 @@ TEST(run_backend, remote_tcp_worker_matches_sequential) {
     ASSERT_EQ(::waitpid(server, &status, 0), server);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     EXPECT_EQ(csv_of(table), csv_of(make_grid_set(rc).set_workers(1).run_all()));
+}
+
+TEST(run_backend, stalled_endpoint_does_not_hold_up_the_others) {
+    // Endpoint 0 is a fake worker: it sends the first 5 bytes of its result
+    // frame, then stalls until the parent reports every other run landed (or
+    // 5 s pass), then finishes the frame and serves on.  Endpoint 1 is a real
+    // worker host.  The dispatcher must buffer the partial frame and keep the
+    // healthy endpoint busy for the whole stall.
+    const auto rc = define_rc("tcp_stall");
+    const auto make_set = [&rc] {
+        return core::run_set(rc)
+            .with_samples(core::monte_carlo(40).uniform("r", 500.0, 5e3))
+            .set_base_seed(0xfeedULL);
+    };
+    const auto rs = make_set();
+    int release[2];
+    ASSERT_EQ(::pipe(release), 0);
+    std::uint16_t fake_port = 0;
+    std::uint16_t real_port = 0;
+    net::unique_fd fake_listener = net::listen_tcp(fake_port);
+    net::unique_fd real_listener = net::listen_tcp(real_port);
+    const pid_t fake = fork();
+    ASSERT_GE(fake, 0);
+    if (fake == 0) {
+        const net::unique_fd fd = net::accept_client(fake_listener.get());
+        wire::frame_reader in;
+        wire::frame job;
+        if (!in.read_blocking(fd.get(), job)) ::_exit(1);
+        const auto index = wire::decode_job(job.payload.data(), job.payload.size());
+        const auto bytes = wire::pack_frame(wire::msg_type::result,
+                                            wire::encode_result(rs.run_one(index)));
+        (void)net::write_all(fd.get(), bytes.data(), 5);
+        pollfd p{release[0], POLLIN, 0};
+        (void)::poll(&p, 1, 5000);
+        (void)net::write_all(fd.get(), bytes.data() + 5, bytes.size() - 5);
+        core::run_worker_loop(rs, fd.get());
+        ::_exit(0);
+    }
+    const pid_t real = fork();
+    ASSERT_GE(real, 0);
+    if (real == 0) {
+        core::serve_tcp_workers(rs, real_listener.get(), /*max_sessions=*/1);
+        ::_exit(0);
+    }
+    fake_listener.reset();
+    real_listener.reset();
+    std::vector<int> arrivals;  // worker id per landed run, in arrival order
+    const auto table =
+        make_set()
+            .set_backend(core::run_backend::remote_tcp)
+            .set_endpoints({"127.0.0.1:" + std::to_string(fake_port),
+                            "127.0.0.1:" + std::to_string(real_port)})
+            .on_result([&](const core::run_result& r) {
+                arrivals.push_back(r.worker);
+                if (arrivals.size() == 39) {
+                    const char byte = 1;
+                    ASSERT_EQ(::write(release[1], &byte, 1), 1);
+                }
+            })
+            .run_all();
+    for (const pid_t pid : {fake, real}) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+    ::close(release[0]);
+    ::close(release[1]);
+    ASSERT_EQ(arrivals.size(), 40U);
+    EXPECT_EQ(std::count(arrivals.begin(), arrivals.end() - 1, 1), 39)
+        << "the healthy endpoint stalled behind the partial frame";
+    EXPECT_EQ(arrivals.back(), 0);
+    EXPECT_EQ(table.failed_count(), 0U);
+    EXPECT_EQ(csv_of(table), csv_of(make_set().set_workers(1).run_all()));
+}
+
+TEST(run_backend, refused_endpoint_leaks_no_descriptor) {
+    const auto rc = define_rc("tcp_refused");
+    std::uint16_t live_port = 0;
+    const net::unique_fd live = net::listen_tcp(live_port);  // connects land in the backlog
+    std::uint16_t dead_port = 0;
+    net::listen_tcp(dead_port).reset();  // closed again: connecting is refused
+    const std::size_t before = open_fd_count();
+    EXPECT_THROW((void)make_grid_set(rc)
+                     .set_backend(core::run_backend::remote_tcp)
+                     .set_endpoints({"127.0.0.1:" + std::to_string(live_port),
+                                     "127.0.0.1:" + std::to_string(dead_port)})
+                     .run_all(),
+                 sca::util::error);
+    EXPECT_EQ(open_fd_count(), before);
 }
 
 TEST(run_backend, remote_tcp_without_endpoints_is_an_error) {

@@ -2,7 +2,8 @@
 // for jobs, params and results (including NaN/Inf/signed-zero/denormal
 // doubles — the transport must preserve bit patterns, not values), and the
 // robustness contract: truncated frames, oversized payloads, bad magic and
-// checksum mismatches throw instead of yielding garbage.
+// checksum mismatches throw instead of yielding garbage — both for a whole
+// buffer and for the incremental frame_reader every socket reads through.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,6 +14,7 @@
 
 #include "core/run_protocol.hpp"
 #include "core/run_set.hpp"
+#include "util/net.hpp"
 #include "util/report.hpp"
 
 namespace core = sca::core;
@@ -21,6 +23,11 @@ namespace wire = sca::core::wire;
 namespace {
 
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+void send_bytes(int fd, const std::vector<std::uint8_t>& bytes, std::size_t from,
+                std::size_t to) {
+    ASSERT_TRUE(sca::net::write_all(fd, bytes.data() + from, to - from));
+}
 
 /// The doubles that break value-based transports: quiet/signaling-style NaN
 /// payloads, both infinities, both zeros, denormals, and extremes.
@@ -150,6 +157,64 @@ TEST(run_protocol, truncated_frame_throws_at_every_cut) {
                      sca::util::error)
             << "prefix of " << cut << " bytes";
     }
+    // On a stream: EOF between frames is a clean end, EOF inside one throws.
+    for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+        auto [rd, wr] = sca::net::stream_pair();
+        send_bytes(wr.get(), bytes, 0, bytes.size());
+        send_bytes(wr.get(), bytes, 0, cut);
+        wr.reset();
+        wire::frame_reader in;
+        wire::frame f;
+        ASSERT_TRUE(in.read_blocking(rd.get(), f));
+        EXPECT_EQ(f.type, wire::msg_type::job);
+        if (cut == 0) {
+            EXPECT_FALSE(in.read_blocking(rd.get(), f));
+        } else if (cut == bytes.size()) {
+            EXPECT_TRUE(in.read_blocking(rd.get(), f));
+            EXPECT_FALSE(in.read_blocking(rd.get(), f));
+        } else {
+            EXPECT_THROW((void)in.read_blocking(rd.get(), f), sca::util::error)
+                << "EOF after " << cut << " bytes of the second frame";
+        }
+    }
+}
+
+TEST(run_protocol, frame_reader_reassembles_a_stream_split_at_every_byte) {
+    // A worker's metrics + result pair, delivered in two pieces cut at every
+    // byte boundary: the reader never blocks, never yields a partial frame,
+    // and hands out the same two frames in order.
+    core::run_result r;
+    r.index = 3;
+    r.ok = true;
+    r.measurements["m"] = 1.0 / 3.0;
+    r.times = nasty_doubles();
+    wire::run_metrics m;
+    m.index = 3;
+    std::vector<std::uint8_t> stream;
+    wire::append_frame(stream, wire::msg_type::metrics, wire::encode_metrics(m));
+    wire::append_frame(stream, wire::msg_type::result, wire::encode_result(r));
+    for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+        auto [rd, wr] = sca::net::stream_pair();
+        sca::net::set_nonblocking(rd.get());
+        wire::frame_reader in;
+        std::vector<wire::frame> got;
+        wire::frame f;
+        for (const auto& [from, to] : {std::pair{std::size_t{0}, cut},
+                                       std::pair{cut, stream.size()}}) {
+            send_bytes(wr.get(), stream, from, to);
+            EXPECT_EQ(in.fill(rd.get()), from == to
+                                             ? wire::frame_reader::fill_status::would_block
+                                             : wire::frame_reader::fill_status::data);
+            while (in.next(f)) got.push_back(f);
+        }
+        ASSERT_EQ(got.size(), 2U) << "cut at " << cut;
+        EXPECT_EQ(got[0].type, wire::msg_type::metrics);
+        EXPECT_EQ(got[0].payload, wire::encode_metrics(m));
+        EXPECT_EQ(got[1].type, wire::msg_type::result);
+        EXPECT_EQ(got[1].payload, wire::encode_result(r));
+        wr.reset();
+        EXPECT_EQ(in.fill(rd.get()), wire::frame_reader::fill_status::eof);
+    }
 }
 
 TEST(run_protocol, bad_magic_is_rejected) {
@@ -188,6 +253,12 @@ TEST(run_protocol, unknown_frame_type_is_rejected) {
     wire::frame f;
     EXPECT_THROW((void)wire::unpack_frame(bytes.data(), bytes.size(), offset, f),
                  sca::util::error);
+    // Rejected from the 9 header bytes alone — a reader never buffers the
+    // declared payload of a frame it cannot accept.
+    for (const std::uint8_t type : {std::uint8_t{0}, std::uint8_t{wire::k_max_msg_type + 1}}) {
+        bytes[8] = type;
+        EXPECT_THROW((void)wire::frame_size_hint(bytes.data(), 9), sca::util::error);
+    }
 }
 
 TEST(run_protocol, short_payload_decoders_throw) {

@@ -492,6 +492,38 @@ TEST(sim_server, stats_request_reports_live_session_state) {
     srv.stop();
 }
 
+TEST(sim_server, client_moves_keep_absorbed_stats_and_the_connection) {
+    define_scenarios();
+    server::sim_server srv;
+    srv.start();
+    auto cl = server::client::connect_tcp("127.0.0.1", srv.port());
+    cl.hello();
+    cl.open_async("srv_gain", {}, 1000);
+    cl.subscribe("out");
+    (void)cl.await_opened();
+    cl.stats();
+    cl.absorb(cl.read_frame());
+    ASSERT_EQ(cl.stats_frames(), 1U);
+    const int fd = cl.fd();
+
+    server::client moved(std::move(cl));
+    EXPECT_EQ(cl.fd(), -1);  // NOLINT(bugprone-use-after-move): moved-from state
+    EXPECT_EQ(moved.fd(), fd);
+    EXPECT_EQ(moved.stats_frames(), 1U);
+    server::client assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.fd(), fd);
+    EXPECT_EQ(assigned.stats_frames(), 1U);
+    EXPECT_DOUBLE_EQ(assigned.last_stats().sim_time_s, 0.0);
+
+    // The session carries on over the moved connection.
+    assigned.resume();
+    const wire::close_info close = assigned.drain();
+    EXPECT_EQ(close.reason, wire::close_reason::finished);
+    EXPECT_EQ(close.samples_streamed, assigned.wave("out").times.size());
+    srv.stop();
+}
+
 // ----------------------------------------------------------------------- pacing --
 
 TEST(sim_server, pacing_holds_wall_clock_with_bounded_drift) {
