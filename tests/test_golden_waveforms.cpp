@@ -25,6 +25,7 @@
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
+#include "kernel/module.hpp"
 #include "kernel/signal.hpp"
 #include "lib/amplifier.hpp"
 #include "lib/filters.hpp"
@@ -34,6 +35,9 @@
 #include "lib/pll.hpp"
 #include "lib/pwm.hpp"
 #include "lib/sigma_delta.hpp"
+#include "lsf/ltf.hpp"
+#include "lsf/node.hpp"
+#include "lsf/primitives.hpp"
 #include "tdf/cluster.hpp"
 #include "tdf/module.hpp"
 #include "tdf/port.hpp"
@@ -43,6 +47,7 @@ namespace de = sca::de;
 namespace tdf = sca::tdf;
 namespace eln = sca::eln;
 namespace lib = sca::lib;
+namespace lsf = sca::lsf;
 using namespace sca::de::literals;
 
 #ifndef SCA_GOLDEN_DIR
@@ -462,6 +467,90 @@ golden_case adaptive_retimer_case() {
             }};
 }
 
+
+/// Steps two DE signals at fixed irregular instants, several of them on the
+/// 2 us cluster grid and one at the very start.
+struct de_stepper : de::module {
+    de::out<double> level;
+    de::out<double> ref;
+    std::size_t k = 0;
+    static constexpr std::int64_t k_instants_us[] = {0,   3,   10,  14,  20,  27,  40,  41,
+                                                     58,  64,  90,  100, 133, 150, 200, 256,
+                                                     300, 333, 400, 512, 600, 777, 800, 1000,
+                                                     1024, 1200, 1337, 1500, 1600, 1800, 1998};
+    explicit de_stepper(const de::module_name& nm)
+        : de::module(nm), level("level"), ref("ref") {
+        declare_method("step", [this] { step(); });
+    }
+    void step() {
+        const std::size_t n = std::size(k_instants_us);
+        if (k < n && now() == de::time::from_fs(k_instants_us[k] * 1'000'000'000)) {
+            level.write(static_cast<double>(static_cast<int>(k % 5) - 2) * 0.75);
+            ref.write(5.0 * static_cast<double>((k * 7) % 11) / 11.0);
+            ++k;
+        }
+        if (k < n) {
+            next_trigger(de::time::from_fs(k_instants_us[k] * 1'000'000'000) - now());
+        }
+    }
+};
+
+golden_case de_stepped_sources_case() {
+    // One cluster that only reads DE: an lsf::from_de input through a
+    // second-order low-pass feeds an ELN ladder that an eln::de_vsource
+    // also drives.  The DE stepper changes both inputs at irregular
+    // instants (some on cycle starts), so the trace pins down when each
+    // cycle sees each DE value.
+    return {"de_stepped_sources",
+            {{"lsf_y", 0.0}, {"vout", 0.0}},  // pure arithmetic: exact
+            [](core::testbench& tb) {
+                auto& level = tb.make<de::signal<double>>("level", 0.0);
+                auto& ref = tb.make<de::signal<double>>("ref", 0.0);
+                auto& stepper = tb.make<de_stepper>("stepper");
+                stepper.level.bind(level);
+                stepper.ref.bind(ref);
+
+                auto& sys = tb.make<lsf::system>("sys");
+                sys.set_timestep(2.0, de::time_unit::us);
+                const auto u = sys.create_signal("u");
+                const auto y = sys.create_signal("y");
+                auto& fd = tb.make<lsf::from_de>("fd", sys, u);
+                fd.inp.bind(level);
+                tb.make<lsf::ltf_nd>("lp", sys, u, y, std::vector<double>{1.0},
+                                     std::vector<double>{1.0, 4e-5, 1e-9});
+                auto& tt = tb.make<lsf::to_tdf>("tt", sys, y);
+                auto& w_y = tb.make<tdf::signal<double>>("w_y");
+                tt.outp.bind(w_y);
+
+                auto& net = tb.make<eln::network>("net");
+                net.set_timestep(2.0, de::time_unit::us);
+                auto gnd = net.ground();
+                auto vref = net.create_node("vref");
+                auto mid = net.create_node("mid");
+                auto vdrv = net.create_node("vdrv");
+                auto vout = net.create_node("vout");
+                auto& dv = tb.make<eln::de_vsource>("dv", net, vref, gnd);
+                dv.inp.bind(ref);
+                tb.make<eln::resistor>("r1", net, vref, mid, 1e3);
+                tb.make<eln::capacitor>("c1", net, mid, gnd, 47e-9);
+                auto& tv = tb.make<eln::tdf_vsource>("tv", net, vdrv, gnd);
+                tv.inp.bind(w_y);
+                tb.make<eln::resistor>("r2", net, vdrv, mid, 2.2e3);
+                tb.make<eln::resistor>("r3", net, mid, vout, 470.0);
+                tb.make<eln::capacitor>("c2", net, vout, gnd, 100e-9);
+                auto& vs = tb.make<eln::tdf_vsink>("vs", net, vout, gnd);
+                auto& w_out = tb.make<tdf::signal<double>>("w_out");
+                vs.outp.bind(w_out);
+                auto& snk = tb.make<tap>("snk");
+                snk.in.bind(w_out);
+
+                tb.probe("lsf_y", w_y);
+                tb.probe("vout", w_out);
+                tb.set_stop_time(2_ms);
+                tb.set_sample_period(3_us);
+            }};
+}
+
 }  // namespace
 
 TEST(golden_waveforms, quickstart_rc) { check_against_golden(quickstart_rc_case()); }
@@ -477,4 +566,7 @@ TEST(golden_waveforms, pll_lock) { check_against_golden(pll_lock_case()); }
 TEST(golden_waveforms, pwm_switch_rc) { check_against_golden(pwm_switch_rc_case()); }
 TEST(golden_waveforms, adaptive_retimer) {
     check_against_golden(adaptive_retimer_case());
+}
+TEST(golden_waveforms, de_stepped_sources) {
+    check_against_golden(de_stepped_sources_case());
 }
