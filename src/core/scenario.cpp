@@ -153,8 +153,9 @@ bool testbench::attach_taps(bool cluster_first_at_zero) {
         clusters.push_back(s->writer()->owner()->owning_cluster());
     }
     // The tap replays a pure cluster's batching against the recorder alone,
-    // so no process other than pure clusters may bound that batching.
-    // DE-coupled clusters re-arm every period whatever else runs.
+    // so no process other than pure clusters may bound that batching; a
+    // DE-reading cluster batches against every DE event, so it is never
+    // tapped.  Clusters that write DE re-arm every period whatever else runs.
     std::vector<const de::method_process*> pure;
     for (const auto& c : tdf::registry::of(context()).clusters()) {
         if (!c->de_coupled()) pure.push_back(c->process());
@@ -164,7 +165,7 @@ bool testbench::attach_taps(bool cluster_first_at_zero) {
         if (std::find(pure.begin(), pure.end(), p) == pure.end()) foreign = true;
     }
     for (const tdf::cluster* c : clusters) {
-        if (foreign && !c->de_coupled()) return false;
+        if (foreign && !c->writes_de()) return false;
     }
     for (std::size_t ch = 0; ch < clusters.size(); ++ch) {
         taps_.push_back(std::make_unique<tdf::probe_tap>(

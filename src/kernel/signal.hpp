@@ -172,6 +172,10 @@ public:
 
     [[nodiscard]] signal_base* resolved_signal() const noexcept { return bound_signal_; }
 
+    /// True for ports that write their signal (out ports); the TDF layer
+    /// lets a cluster whose bound DE ports only read batch its periods.
+    [[nodiscard]] virtual bool writes() const noexcept { return false; }
+
 protected:
     explicit port_base(std::string name) : object(std::move(name)) {}
 
@@ -217,6 +221,8 @@ template <typename T>
 class out : public port_base {
 public:
     explicit out(std::string name = "out") : port_base(std::move(name)) {}
+
+    [[nodiscard]] bool writes() const noexcept override { return true; }
 
     void write(const T& value) { typed_signal("write to unbound port").write(value); }
     [[nodiscard]] const T& read() const {

@@ -10,6 +10,7 @@
 
 #include "tdf/converter.hpp"
 #include "tdf/module.hpp"
+#include "util/bytes.hpp"
 
 namespace sca::lib {
 
@@ -47,6 +48,11 @@ public:
         de_out.bind(s);
         de_enabled_ = true;
     }
+
+    // --- checkpoint/restore: the hysteresis state ---------------------------
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override { w.boolean(state_); }
+    void restore_state(util::byte_reader& r) override { state_ = r.boolean(); }
 
 private:
     double threshold_;

@@ -9,6 +9,8 @@
 
 #include "tdf/block.hpp"
 #include "tdf/module.hpp"
+#include "util/bytes.hpp"
+#include "util/report.hpp"
 
 namespace sca::lib {
 
@@ -24,6 +26,17 @@ public:
     void processing() override;
     [[nodiscard]] bool has_block_processing() const override { return true; }
     void processing(tdf::block_view& blk) override;
+
+    // --- checkpoint/restore: the two integrators ----------------------------
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override {
+        w.f64(int1_);
+        w.f64(int2_);
+    }
+    void restore_state(util::byte_reader& r) override {
+        int1_ = r.f64();
+        int2_ = r.f64();
+    }
 
 private:
     unsigned order_;
@@ -45,6 +58,16 @@ public:
     void processing() override;
     [[nodiscard]] bool has_block_processing() const override { return true; }
     void processing(tdf::block_view& blk) override;
+
+    // --- checkpoint/restore: the sliding window -----------------------------
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override { w.f64_vec(window_); }
+    void restore_state(util::byte_reader& r) override {
+        std::vector<double> window = r.f64_vec();
+        util::require(window.size() == window_.size(), "snapshot",
+                      name() + ": sinc3 window length differs from snapshot");
+        window_ = std::move(window);
+    }
 
 private:
     /// One output sample from the current window contents.

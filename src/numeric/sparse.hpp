@@ -109,6 +109,18 @@ public:
         rows_val_[r][static_cast<std::size_t>(it - idx.begin())] = value;
     }
 
+    /// Address of an existing entry's value.  Valid until the pattern
+    /// changes (any insert, clear() or resize()) or the matrix is assigned
+    /// to; callers key cached addresses to pattern_version().
+    [[nodiscard]] T* value_slot(std::size_t r, std::size_t c) {
+        util::require(r < n_ && c < n_, "sparse_matrix", "index out of range");
+        auto& idx = rows_idx_[r];
+        const auto it = std::lower_bound(idx.begin(), idx.end(), c);
+        util::require(it != idx.end() && *it == c, "sparse_matrix",
+                      "value_slot target is not in the sparsity pattern");
+        return rows_val_[r].data() + (it - idx.begin());
+    }
+
     [[nodiscard]] T get(std::size_t r, std::size_t c) const {
         util::require(r < n_ && c < n_, "sparse_matrix", "index out of range");
         if (rows_idx_.size() != n_) return T{};
@@ -421,6 +433,57 @@ public:
             }
             x[ii] = acc / u_val_[u_ptr_[ii]];
         }
+    }
+
+    /// solve_into() on raw buffers without its checks: the caller
+    /// guarantees a valid factorization, `n` elements in each buffer, and
+    /// b != x.  Same operations in the same order, so results are
+    /// bit-identical to solve_into() (fixed-step solvers call this once per
+    /// step).
+    void solve_unchecked(const T* b, T* x) const noexcept {
+        const std::size_t* perm = perm_.data();
+        const std::size_t* lp = l_ptr_.data();
+        const std::size_t* lc = l_col_.data();
+        const T* lv = l_val_.data();
+        for (std::size_t i = 0; i < n_; ++i) {
+            T acc = b[perm[i]];
+            for (std::size_t j = lp[i]; j < lp[i + 1]; ++j) acc -= lv[j] * x[lc[j]];
+            x[i] = acc;
+        }
+        const std::size_t* up = u_ptr_.data();
+        const std::size_t* uc = u_col_.data();
+        const T* uv = u_val_.data();
+        for (std::size_t ii = n_; ii-- > 0;) {
+            T acc = x[ii];
+            for (std::size_t j = up[ii] + 1; j < up[ii + 1]; ++j) acc -= uv[j] * x[uc[j]];
+            x[ii] = acc / uv[up[ii]];
+        }
+    }
+
+    /// The numeric half of a factorization: L and U values plus the
+    /// reciprocal pivots, laid out by the symbolic analysis they came from.
+    struct numeric_values {
+        std::vector<T> l, u, inv_diag;
+    };
+
+    /// Copy out the current numeric factors (requires factored()).
+    void save_numeric(numeric_values& out) const {
+        util::require(factored_, "sparse_lu", "save_numeric before factor");
+        out.l = l_val_;
+        out.u = u_val_;
+        out.inv_diag = inv_diag_;
+    }
+
+    /// Install numeric factors saved under the *current* symbolic analysis
+    /// (the caller keys them to it); no numeric pass runs or is counted.
+    void load_numeric(const numeric_values& in) {
+        util::require(symbolic_valid_ && in.l.size() == l_val_.size() &&
+                          in.u.size() == u_val_.size() && in.inv_diag.size() == n_,
+                      "sparse_lu", "numeric factors do not fit the symbolic analysis");
+        std::copy(in.l.begin(), in.l.end(), l_val_.begin());
+        std::copy(in.u.begin(), in.u.end(), u_val_.begin());
+        std::copy(in.inv_diag.begin(), in.inv_diag.end(), inv_diag_.begin());
+        factored_ = true;
     }
 
     [[nodiscard]] bool factored() const noexcept { return factored_; }

@@ -9,9 +9,21 @@
 // and runs a numeric-only refactorization against the cached symbolic
 // analysis; only a stamp-generation change (full restamp, pattern may have
 // moved) re-runs the symbolic phase.
+//
+// The per-step cost is the arithmetic alone.  step() reads flat CSR copies
+// of A and B (refreshed only when a stamp/values generation or a pattern
+// moves) in one fused row pass and solves on raw buffers.  A values-only
+// change rewrites the iteration matrix through scatter addresses fixed when
+// its pattern was built, then looks the new values up in a small factor
+// cache keyed by the exact value bits under the current symbolic analysis:
+// a switched network cycling through a few matrices refactors each once.
+// Every path performs the same floating-point operations in the same order
+// as the plain multiply / refactor / solve it replaces, so results are
+// bit-identical.
 #ifndef SCA_SOLVER_LINEAR_DAE_HPP
 #define SCA_SOLVER_LINEAR_DAE_HPP
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +52,11 @@ public:
     [[nodiscard]] const std::vector<double>& x() const noexcept { return x_; }
     [[nodiscard]] double time() const noexcept { return t_; }
     [[nodiscard]] double timestep() const noexcept { return h_; }
+    /// Rule the iteration matrix is currently factored for: that of the last
+    /// step (backward Euler when forced, else the configured method).
+    [[nodiscard]] integration_method step_method() const noexcept {
+        return factored_method_;
+    }
 
     /// Change the timestep (forces a refactor at the next step).
     void set_timestep(double h);
@@ -53,8 +70,16 @@ public:
     /// stamps changed, BE re-establishes consistency in one step.
     void force_backward_euler_next() noexcept { be_next_ = true; }
 
-    /// Numeric factorization passes (full factorizations included).
+    /// Numeric factorization passes (full factorizations included; factor
+    /// cache hits are not passes and do not count).
     [[nodiscard]] std::uint64_t factor_count() const noexcept { return factors_; }
+    /// Iteration-matrix refreshes served from the factor cache.
+    [[nodiscard]] std::uint64_t factor_cache_hits() const noexcept { return cache_hits_; }
+    /// Numeric refactors whose stability guard tripped, so a full factor()
+    /// (new pivot order) ran instead.
+    [[nodiscard]] std::uint64_t refactor_fallbacks() const noexcept {
+        return refactor_fallbacks_;
+    }
     /// Full symbolic analyses (pivot order + fill pattern). Values-only
     /// restamps keep this flat: only factor_count advances.
     [[nodiscard]] std::uint64_t symbolic_factor_count() const noexcept {
@@ -65,8 +90,16 @@ public:
     /// Use dense factorization instead of sparse (ablation benches).
     void set_use_dense(bool dense) {
         use_dense_ = dense;
+        drop_factor_cache();
         invalidate();
     }
+
+    /// The iteration matrix and sparse factorization the last step used
+    /// (introspection: tests replay them against fresh factorizations).
+    [[nodiscard]] const num::sparse_matrix_d& iteration_matrix() const noexcept {
+        return iter_mat_;
+    }
+    [[nodiscard]] const num::sparse_lu_d& lu() const noexcept { return lu_; }
 
     // --- checkpoint/restore ----------------------------------------------------
     /// Serialize integration state (t, x, q_prev, method/timestep flags),
@@ -80,7 +113,34 @@ public:
     void restore_state(util::byte_reader& r);
 
 private:
+    /// Flat row-major copy of A or B: what step() multiplies with, and the
+    /// source of values-only iteration-matrix rewrites.
+    struct csr_copy {
+        std::vector<std::size_t> ptr, col;
+        std::vector<double> val;
+        std::uint64_t pattern_version = 0;
+        /// Copy `m`'s values; the index arrays only when its pattern moved.
+        void assign(const num::sparse_matrix_d& m);
+    };
+    /// One factor-cache entry: iteration-matrix values (row-major, exact
+    /// bits) and the numeric factors a pass over them produced.
+    struct factor_entry {
+        std::vector<double> key;
+        num::sparse_lu_d::numeric_values factors;
+    };
+    static constexpr std::size_t k_factor_cache_entries = 8;
+
     void ensure_factored(integration_method m);
+    /// Refresh the A/B copies when a generation or pattern moved.
+    void refresh_step_plan();
+    /// Scatter addresses of every A and B entry into the iteration matrix.
+    void build_scatter();
+    /// Sparse numeric factorization of the freshly refreshed iteration
+    /// matrix: a cache hit loads factors, a miss refactors (falling back to
+    /// a full factor()) and records them.
+    void factor_sparse();
+    [[nodiscard]] const factor_entry* find_factors() const;
+    void drop_factor_cache() noexcept;
 
     equation_system* sys_;
     integration_method method_;
@@ -107,6 +167,30 @@ private:
     std::uint64_t factors_ = 0;
     std::uint64_t symbolic_factors_ = 0;
     std::uint64_t solves_ = 0;
+    std::uint64_t cache_hits_ = 0;
+    std::uint64_t refactor_fallbacks_ = 0;
+
+    // --- compiled step plan (never snapshotted: rebuilt on demand) ---------
+    csr_copy a_csr_;
+    csr_copy b_csr_;
+    bool plan_valid_ = false;
+    std::uint64_t plan_stamp_generation_ = 0;
+    std::uint64_t plan_values_generation_ = 0;
+    // Addresses into iter_mat_'s value storage, one per A / B entry in CSR
+    // order; usable only while iter_mat_ keeps scatter_iter_version_ and A/B
+    // keep the pattern versions they were built from.
+    std::vector<double*> a_scatter_;
+    std::vector<double*> b_scatter_;
+    bool scatter_valid_ = false;
+    std::uint64_t scatter_iter_version_ = 0;
+    std::uint64_t scatter_a_version_ = 0;
+    std::uint64_t scatter_b_version_ = 0;
+
+    // --- factor cache (never snapshotted) -----------------------------------
+    std::array<factor_entry, k_factor_cache_entries> cache_;
+    std::size_t cache_size_ = 0;
+    std::size_t cache_next_ = 0;           // round-robin replacement
+    std::uint64_t cache_symbolic_ = ~0ULL;  // lu_.symbolic_count() it is keyed to
 };
 
 }  // namespace sca::solver

@@ -19,16 +19,15 @@ namespace sca::tdf {
 
 namespace {
 
-/// True if any object below `o` is a bound DE port (converter ports are
-/// members of the module, so they appear in its object subtree).
-bool subtree_has_bound_de_port(const de::object* o) {
+/// Classify the bound DE ports below `o` (converter ports are members of
+/// the module, so they appear in its object subtree) as reads or writes.
+void scan_bound_de_ports(const de::object* o, bool& reads, bool& writes) {
     for (const de::object* c : o->children()) {
         if (const auto* p = dynamic_cast<const de::port_base*>(c); p != nullptr && p->bound()) {
-            return true;
+            (p->writes() ? writes : reads) = true;
         }
-        if (subtree_has_bound_de_port(c)) return true;
+        scan_bound_de_ports(c, reads, writes);
     }
-    return false;
 }
 
 }  // namespace
@@ -141,11 +140,12 @@ void cluster::build_fused_programs(std::vector<std::size_t>& caps) {
     // Power-of-two ladder of fused programs for pure static clusters: the
     // batch planner hands run_cycles() up to max_batch_ periods at a time,
     // and greedy decomposition over {.., 16, 8, 4, 2} periods turns almost
-    // all of them into long block calls.  DE-coupled clusters execute one
-    // period per kernel interaction and dynamic clusters must offer the
-    // change_attributes() window between periods, so neither fuses.
+    // all of them into long block calls.  Only pure clusters fuse: DE-writing
+    // clusters execute one period per kernel interaction, DE-reading ones
+    // are driven by ELN/LSF views that fire per sample anyway, and dynamic
+    // clusters must offer the change_attributes() window between periods.
     fused_.clear();
-    if (de_coupled_ || dynamic_ || max_batch_ < 2) return;
+    if (de_coupled() || dynamic_ || max_batch_ < 2) return;
     // Guard: fused buffers hold `periods` periods of tokens per signal; stop
     // the ladder before memory blows up on very high-rate clusters.
     constexpr std::size_t k_max_tokens_per_signal = std::size_t{1} << 16;
@@ -212,12 +212,12 @@ void cluster::build_schedule() {
 }
 
 void cluster::detect_de_coupling() {
-    de_coupled_ = false;
+    reads_de_ = false;
+    writes_de_ = false;
     for (module* m : modules_) {
-        if (m->de_coupled_declared() || subtree_has_bound_de_port(m)) {
-            de_coupled_ = true;
-            return;
-        }
+        reads_de_ = reads_de_ || m->de_reads_declared();
+        writes_de_ = writes_de_ || m->de_writes_declared();
+        scan_bound_de_ports(m, reads_de_, writes_de_);
     }
 }
 
@@ -471,11 +471,13 @@ void cluster::add_tap(probe_tap& tap) {
 
 std::uint64_t cluster::plan_batch_ahead(bool for_peek) const {
     // Batching contract: run cycles ahead of DE time only when no DE process
-    // could observe the difference.  DE-coupled clusters never qualify.  For
-    // pure clusters the bound is the next pending timed event — except the
-    // re-arms of independent peer clusters, which provably cannot interact —
-    // and the end of the current scheduler run, so the final state matches
-    // per-period execution exactly.  This runs in a zero-delay re-activation
+    // could observe the difference.  Clusters that write DE never qualify.
+    // For the others the bound is the next pending timed event — except the
+    // re-arms of peer clusters, which write no DE and so cannot change what
+    // this one reads — and the end of the current scheduler run, so the
+    // final state matches per-period execution exactly.  DE values a
+    // DE-reading cluster samples cannot change before that bound: no
+    // process runs in between.  This runs in a zero-delay re-activation
     // of the driving process: every same-timestamp process has already
     // executed and re-armed, making the timed queue authoritative.
     const std::int64_t p = period_.value_fs();
@@ -525,7 +527,7 @@ void cluster::on_wake() {
             // below): periods execute back-to-back with the change window
             // interleaved, so only the kernel re-arms are elided — the
             // per-period sequence the modules observe is unchanged.
-            if (!de_coupled_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
+            if (!writes_de_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
                 batch_check_pending_ = true;
                 ctx_->next_trigger(de::time::zero());
                 return;
@@ -539,7 +541,7 @@ void cluster::on_wake() {
         // event-dense models otherwise pay a useless delta round per period.
         // The peek may overestimate; the settled re-check below is what
         // guarantees correctness.
-        if (!de_coupled_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
+        if (!writes_de_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
             batch_check_pending_ = true;
             ctx_->next_trigger(de::time::zero());
             return;
@@ -549,7 +551,7 @@ void cluster::on_wake() {
     }
     // Zero-delay (delta) re-activation: plan only once the instant has
     // settled, so every same-timestamp process has executed and armed its
-    // next timed event.  Peer pure clusters are ignored — their same-instant
+    // next timed event.  Peer clusters are ignored — their same-instant
     // wakes and deferral deltas cannot interact with this cluster, and two
     // deferring clusters would otherwise ping-pong forever.  Anything else
     // still active at this instant -> defer one more delta cycle.
@@ -617,7 +619,7 @@ void cluster::save_state(util::byte_writer& w) const {
     w.u64(fused_cycles_);
     w.u64(reschedules_);
     w.u64(recompiles_);
-    w.boolean(de_coupled_);
+    w.boolean(de_coupled());
     w.boolean(dynamic_);
 }
 
@@ -702,7 +704,7 @@ void cluster::restore_state(util::byte_reader& r) {
     fused_cycles_ = r.u64();
     reschedules_ = r.u64();
     recompiles_ = r.u64();
-    util::require(r.boolean() == de_coupled_, "snapshot",
+    util::require(r.boolean() == de_coupled(), "snapshot",
                   "cluster: DE coupling differs from snapshot");
     util::require(r.boolean() == dynamic_, "snapshot",
                   "cluster: dynamic membership differs from snapshot");
@@ -769,7 +771,7 @@ void probe_tap::plan(const cluster& c, const de::time& at, const de::time& next,
     const std::uint64_t max_batch = c.max_batch_periods();
     const bool rec_pending = !(on_grid && cluster_first_);
     const std::int64_t gap = next_sample - next.value_fs();
-    if (c.de_coupled() || max_batch < 2 || (rec_pending && gap <= 0)) {
+    if (c.writes_de() || max_batch < 2 || (rec_pending && gap <= 0)) {
         arm(next, at, /*from_delta=*/false, next_sample);
         return;
     }
@@ -882,7 +884,7 @@ void registry::publish_metrics() {
         misses += c->schedule_cache_misses();
     }
     std::uint64_t activations = 0, block_calls = 0, block_firings = 0;
-    std::uint64_t numeric = 0, symbolic = 0;
+    std::uint64_t numeric = 0, symbolic = 0, cache_hits = 0, fallbacks = 0;
     for (module* m : modules_) {
         activations += m->activation_count();
         block_calls += m->block_call_count();
@@ -890,6 +892,8 @@ void registry::publish_metrics() {
         if (const auto* d = dynamic_cast<const dae_module*>(m)) {
             numeric += d->factorizations();
             symbolic += d->symbolic_factorizations();
+            cache_hits += d->factor_cache_hits();
+            fallbacks += d->refactor_fallbacks();
         }
     }
     reg.get_counter("tdf.clusters").set(clusters_.size());
@@ -904,6 +908,8 @@ void registry::publish_metrics() {
     reg.get_counter("tdf.module.block_firings").set(block_firings);
     reg.get_counter("solver.numeric_factorizations").set(numeric);
     reg.get_counter("solver.symbolic_factorizations").set(symbolic);
+    reg.get_counter("solver.factor_cache_hits").set(cache_hits);
+    reg.get_counter("solver.refactor_fallbacks").set(fallbacks);
 }
 
 registry::~registry() = default;
@@ -985,14 +991,17 @@ void registry::elaborate_clusters() {
         clusters_.back()->attach(*ctx_);
     }
 
-    // Independent clusters cannot observe one another, so batch planning may
-    // ignore the re-arm events of every pure (non-DE-coupled) peer.
-    std::vector<const de::method_process*> pure_procs;
+    // A cluster that writes no DE signal cannot change anything another
+    // such cluster reads, so their batch planning ignores one another's
+    // re-arms and settling deltas.  Each must ignore the others: two that
+    // defer to a settled delta at one instant would otherwise wait on each
+    // other forever.
+    std::vector<const de::method_process*> batching_procs;
     for (const auto& c : clusters_) {
-        if (!c->de_coupled()) pure_procs.push_back(c->process());
+        if (!c->writes_de()) batching_procs.push_back(c->process());
     }
     for (const auto& c : clusters_) {
-        if (!c->de_coupled()) c->set_peer_processes(pure_procs);
+        if (!c->writes_de()) c->set_peer_processes(batching_procs);
     }
 }
 

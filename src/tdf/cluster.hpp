@@ -6,10 +6,11 @@
 // At elaboration each cluster compiles its repetition vector into a flat
 // firing program (run-length-encoded {module, count} entries with
 // preallocated ring buffers); at runtime the program executes as a tight
-// loop with no map lookups or allocations.  Clusters that do not exchange
-// samples with the DE world batch several schedule periods per DE kernel
-// interaction, bounded by the next pending DE event and the end of the
-// current run; converter-coupled clusters synchronize every period.
+// loop with no map lookups or allocations.  Clusters that write no DE
+// signal batch several schedule periods per DE kernel interaction, bounded
+// by the next pending DE event and the end of the current run: DE values
+// they read cannot change before that event.  Clusters that write DE
+// synchronize every period.
 #ifndef SCA_TDF_CLUSTER_HPP
 #define SCA_TDF_CLUSTER_HPP
 
@@ -136,14 +137,15 @@ public:
     void elaborate();
 
     /// Register the driving DE process with the kernel.  The driving process
-    /// runs one cycle per timed wake; for clusters without DE coupling a
+    /// runs one cycle per timed wake; for clusters that write no DE signal a
     /// zero-delay re-activation then runs further cycles ahead of DE time
     /// once the event queue has settled — never past the next pending DE
     /// event or the end of the current scheduler run.
     void attach(de::simulation_context& ctx);
 
-    /// Peer-cluster processes whose re-arm events batch planning may ignore
-    /// (independent clusters cannot observe each other); set by the registry.
+    /// Peer-cluster processes whose re-arm events batch planning may ignore:
+    /// the clusters that write no DE signal, which no other such cluster can
+    /// observe through the kernel; set by the registry.
     void set_peer_processes(std::vector<const de::method_process*> peers);
 
     /// The driving DE process (valid after attach()).
@@ -160,9 +162,13 @@ public:
     [[nodiscard]] std::uint64_t cycle_count() const noexcept { return cycles_; }
 
     /// True when any member module exchanges samples with the DE world
-    /// (converter ports or DE-controlled ELN/LSF components); such clusters
-    /// synchronize with the DE kernel at every period boundary.
-    [[nodiscard]] bool de_coupled() const noexcept { return de_coupled_; }
+    /// (converter ports or DE-connected ELN/LSF components).
+    [[nodiscard]] bool de_coupled() const noexcept { return reads_de_ || writes_de_; }
+    /// True when a member writes DE signals (de::out / tdf::de_out ports,
+    /// eln::de_vsink, lsf::to_de); such clusters synchronize with the DE
+    /// kernel at every period boundary.  Clusters that only read DE batch
+    /// like pure ones.
+    [[nodiscard]] bool writes_de() const noexcept { return writes_de_; }
 
     /// Cap the number of schedule periods executed per DE kernel
     /// interaction (>= 1).  1 disables batching entirely.
@@ -303,7 +309,8 @@ private:
     std::uint64_t reschedules_ = 0;
     std::uint64_t recompiles_ = 0;
     std::uint64_t fused_cycles_ = 0;
-    bool de_coupled_ = false;
+    bool reads_de_ = false;
+    bool writes_de_ = false;
     bool dynamic_ = false;
     bool block_execution_ = true;
     bool batch_check_pending_ = false;

@@ -30,6 +30,12 @@ public:
     /// Current continuous state vector (valid after the first activation).
     [[nodiscard]] const std::vector<double>& state() const { return state_; }
 
+    /// The fixed-step linear solver (null before the first activation and
+    /// for nonlinear systems); introspection for tests and benches.
+    [[nodiscard]] const solver::linear_dae_solver* linear_solver() const noexcept {
+        return linear_.get();
+    }
+
     /// Integration method for the linear fixed-step path.
     void set_integration_method(solver::integration_method m) { method_ = m; }
 
@@ -44,6 +50,15 @@ public:
     /// advances only the former.
     [[nodiscard]] std::uint64_t factorizations() const noexcept;
     [[nodiscard]] std::uint64_t symbolic_factorizations() const noexcept;
+    /// Numerics health of the linear fixed-step path: iteration-matrix
+    /// refreshes served by the factor cache, and numeric refactors whose
+    /// stability guard tripped into a full factorization (0 otherwise).
+    [[nodiscard]] std::uint64_t factor_cache_hits() const noexcept {
+        return linear_ ? linear_->factor_cache_hits() : 0;
+    }
+    [[nodiscard]] std::uint64_t refactor_fallbacks() const noexcept {
+        return linear_ ? linear_->refactor_fallbacks() : 0;
+    }
 
     /// A dae_module tolerates dynamic-TDF retiming natively: a cluster
     /// timestep change only moves h, which the linear solver absorbs as a

@@ -155,12 +155,17 @@ public:
         return block_firings_;
     }
 
-    /// Declare that this module exchanges samples with the DE world outside
-    /// the TDF converter-port protocol (ELN/LSF converter components call
-    /// this).  The owning cluster then synchronizes with the DE kernel every
-    /// cycle instead of batching cycles.
-    void declare_de_coupled() noexcept { de_coupled_ = true; }
-    [[nodiscard]] bool de_coupled_declared() const noexcept { return de_coupled_; }
+    /// Declare that this module reads DE signals inside its firings outside
+    /// the TDF converter-port protocol (ELN/LSF components driven by DE call
+    /// this).  The owning cluster still batches periods, bounded by the next
+    /// pending DE event, since no DE value can change before it.
+    void declare_de_reads() noexcept { de_reads_ = true; }
+    /// Declare that this module writes DE signals inside its firings (ELN/LSF
+    /// components driving DE call this).  The owning cluster then
+    /// synchronizes with the DE kernel every period instead of batching.
+    void declare_de_writes() noexcept { de_writes_ = true; }
+    [[nodiscard]] bool de_reads_declared() const noexcept { return de_reads_; }
+    [[nodiscard]] bool de_writes_declared() const noexcept { return de_writes_; }
 
     [[nodiscard]] cluster* owning_cluster() const noexcept { return cluster_; }
     void set_owning_cluster(cluster& c) noexcept { cluster_ = &c; }
@@ -205,7 +210,8 @@ private:
     std::uint64_t activations_ = 0;
     std::uint64_t block_calls_ = 0;
     std::uint64_t block_firings_ = 0;
-    bool de_coupled_ = false;
+    bool de_reads_ = false;
+    bool de_writes_ = false;
     bool in_change_attributes_ = false;
     bool has_pending_timestep_ = false;
     cluster* cluster_ = nullptr;

@@ -29,8 +29,10 @@
 #include "eln/sources.hpp"
 #include "kernel/context.hpp"
 #include "kernel/signal.hpp"
+#include "lib/converters.hpp"
 #include "lib/filters.hpp"
 #include "lib/oscillator.hpp"
+#include "lib/sigma_delta.hpp"
 #include "lsf/ltf.hpp"
 #include "lsf/primitives.hpp"
 #include "lsf/view.hpp"
@@ -308,6 +310,40 @@ void define_nonlinear() {
         });
 }
 
+/// Library blocks with private state: a second-order sigma-delta modulator
+/// (two integrators) into a sinc3 decimator (sliding window) into a
+/// hysteresis comparator (its latched decision).  A resume that restarted
+/// any of them from its constructed state would diverge at once.
+void define_sigma_delta_chain() {
+    core::scenario::define(
+        "snap_sigma_delta_chain", core::params{},
+        [](core::testbench& tb, const core::params&) {
+            auto& src = tb.make<lib::sine_source>("src", 0.6, 3e3);
+            src.set_timestep(1.0, de::time_unit::us);
+            auto& mod = tb.make<lib::sigma_delta_modulator>("mod", 2, 1.0);
+            auto& dec = tb.make<lib::sinc3_decimator>("dec", 16);
+            auto& cmp = tb.make<lib::comparator>("cmp", 0.0, 0.2);
+            auto& sink = tb.make<drain>("sink");
+            auto& w_src = tb.make<tdf::signal<double>>("w_src");
+            auto& w_mod = tb.make<tdf::signal<double>>("w_mod");
+            auto& w_dec = tb.make<tdf::signal<double>>("w_dec");
+            auto& w_cmp = tb.make<tdf::signal<bool>>("w_cmp");
+            src.out.bind(w_src);
+            mod.in.bind(w_src);
+            mod.out.bind(w_mod);
+            dec.in.bind(w_mod);
+            dec.out.bind(w_dec);
+            cmp.in.bind(w_dec);
+            cmp.out.bind(w_cmp);
+            sink.in.bind(w_dec);
+            tb.probe("y", w_dec);
+            tb.probe("cmp", [&cmp] { return cmp.state() ? 1.0 : 0.0; });
+            tb.measure("y_final", [&w_dec] { return w_dec.last_value(); });
+            tb.set_sample_period(16_us);
+            tb.set_stop_time(4_ms);
+        });
+}
+
 /// Tiny scenario for the byte-level robustness sweeps: small payload, fast
 /// rebuilds.
 void define_tiny() {
@@ -453,6 +489,17 @@ TEST(snapshot, dynamic_tdf_retiming) {
 TEST(snapshot, nonlinear_dae_rectifier) {
     define_nonlinear();
     expect_resume_bit_identical("snap_nonlinear", "vout", "vout_final", 1_ms, 600_us);
+}
+
+TEST(snapshot, sigma_delta_codec_chain_resumes_its_block_state) {
+    // Modulator integrators, decimator window and comparator hysteresis all
+    // ride through the library blocks' own snapshot hooks.
+    define_sigma_delta_chain();
+    for (const de::time t_snap : {1_ms, 1237_us}) {
+        expect_resume_bit_identical("snap_sigma_delta_chain", "y", "y_final", t_snap, 1_ms);
+        expect_resume_bit_identical("snap_sigma_delta_chain", "cmp", "y_final", t_snap,
+                                    1_ms);
+    }
 }
 
 TEST(snapshot, snapshot_at_different_cut_points_all_replay) {

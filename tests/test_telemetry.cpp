@@ -16,11 +16,14 @@
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
 #include "core/snapshot.hpp"
+#include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
 #include "kernel/context.hpp"
 #include "kernel/scheduler.hpp"
+#include "kernel/signal.hpp"
+#include "lib/pwm.hpp"
 #include "tdf/module.hpp"
 #include "tdf/port.hpp"
 #include "util/telemetry.hpp"
@@ -112,6 +115,34 @@ core::scenario define_rc(const std::string& name) {
             tb.measure("vout_final", [&net, vout] { return net.voltage(vout); });
             tb.set_stop_time(de::time::from_seconds(0.5e-3));
             tb.set_sample_period(20_us);
+        });
+}
+
+/// A PWM-switched network whose open switch leaves a node held only by its
+/// leakage: the refactor under the closed-switch pivot order trips the
+/// stability guard once, and from then on the switch cycles through a
+/// handful of iteration matrices the factor cache serves.
+core::scenario define_switched(const std::string& name) {
+    return core::scenario::define(
+        name, core::params{{"duty", 0.5}},
+        [](core::testbench& tb, const core::params& p) {
+            auto& net = tb.make<eln::network>("net");
+            net.set_timestep(1.0, de::time_unit::us);
+            auto gnd = net.ground();
+            auto a = net.create_node("a");
+            auto b = net.create_node("b");
+            auto& sw = tb.make<eln::de_rswitch>("sw", net, a, gnd, 10.0, 1e14);
+            tb.make<eln::vsource>("vs", net, a, b, eln::waveform::dc(5.0));
+            tb.make<eln::resistor>("r", net, b, gnd, 100.0);
+            tb.make<eln::capacitor>("c", net, b, gnd, 1e-6);
+            auto& duty = tb.make<de::signal<double>>("duty", p.get("duty", 0.5));
+            auto& gate = tb.make<de::signal<bool>>("gate", false);
+            auto& pwm = tb.make<sca::lib::pwm>("pwm", 20_us);
+            pwm.duty.bind(duty);
+            pwm.out.bind(gate);
+            sw.ctrl.bind(gate);
+            tb.measure("vb_final", [&net, b] { return net.voltage(b); });
+            tb.set_stop_time(de::time::from_seconds(0.2e-3));
         });
 }
 
@@ -534,5 +565,34 @@ TEST(run_set_metrics, aggregation_is_bit_identical_across_backends_and_workers) 
         for (const core::run_result& r : table.runs()) {
             EXPECT_GE(r.worker, 0) << "multiprocess runs must report their worker";
         }
+    }
+}
+
+TEST(run_set_metrics, numerics_health_counters_are_deterministic_per_run) {
+    // solver.factor_cache_hits and solver.refactor_fallbacks are per-run
+    // facts of the model, like the factorization counts: the same on every
+    // backend, and exact for a fixed switching pattern.
+    static const core::scenario sc = define_switched("telemetry_switched");
+    auto make = [&] {
+        return core::run_set(sc).with_grid(core::param_grid().add("duty", {0.3, 0.5, 0.7}));
+    };
+    const core::result_table in_thread = make().set_workers(2).run_all();
+    const core::result_table forked =
+        make().set_backend(core::run_backend::multiprocess).set_workers(2).run_all();
+    ASSERT_EQ(in_thread.failed_count(), 0U);
+    ASSERT_EQ(forked.failed_count(), 0U);
+    EXPECT_EQ(metrics_csv_of(forked), metrics_csv_of(in_thread));
+    for (const core::run_result& r : in_thread.runs()) {
+        // 10 PWM periods: 20 switch edges, each seen as a forced-BE step
+        // followed by a trapezoidal one, so 40 iteration-matrix refreshes
+        // over 4 distinct matrices.  The closed switch factors once (BE) and
+        // refactors once (trapezoidal); the first open-switch refactor trips
+        // the guard, falls back to a new pivot order and empties the cache,
+        // so the open pair and the next closed pair are passes too.  The
+        // remaining 17 edges' 34 refreshes are all hits.
+        EXPECT_EQ(r.metric("solver.refactor_fallbacks"), 1.0) << r.index;
+        EXPECT_EQ(r.metric("solver.numeric_factorizations"), 6.0) << r.index;
+        EXPECT_EQ(r.metric("solver.factor_cache_hits"), 34.0) << r.index;
+        EXPECT_EQ(r.metric("solver.symbolic_factorizations"), 2.0) << r.index;
     }
 }
