@@ -12,6 +12,11 @@
 //                  decoupling, switch, freewheel path, LC output filter,
 //                  resistive load (the power_driver net)
 // Counters report events/sec, numeric factor passes, and symbolic analyses.
+//
+// swept_load is the opposite traffic: the buck with its switch held on and
+// its load resistor retuned every 1 us step, so no iteration matrix ever
+// comes back.  Every refresh misses the factor cache; the case measures
+// what the cache costs when it cannot help.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -76,6 +81,25 @@ switching_counters run_buck(bool incremental, double& vout_sample) {
     return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
 }
 
+/// The buck with the switch on and the load retuned before every step.
+switching_counters run_swept_load(double& vout_sample) {
+    sca::core::simulation sim;
+
+    de::signal<bool> gate("gate", true);
+    switched_buck buck;
+    buck.hi_side->ctrl.bind(gate);
+    auto* load = dynamic_cast<eln::resistor*>(buck.parts.back().get());
+    std::uint64_t k = 0;
+    sim.context().register_method("sweep", [&] {
+        load->set_value(4.0 + 1e-4 * static_cast<double>(k++));
+        sim.context().next_trigger(1_us);
+    });
+
+    sim.run_seconds(k_sim_seconds);
+    vout_sample = buck.net->voltage(buck.vout_node);
+    return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
+}
+
 void report(benchmark::State& state, const switching_counters& c) {
     const double events = k_sim_seconds / 10e-6;  // two edges per 20 us period
     state.counters["events_per_sec"] =
@@ -112,11 +136,23 @@ void buck_full_restamp(benchmark::State& state) {
     report(state, c);
 }
 
+void swept_load(benchmark::State& state) {
+    switching_counters c;
+    double v = 0.0;
+    for (auto _ : state) c = run_swept_load(v);
+    benchmark::DoNotOptimize(v);
+    state.counters["steps_per_sec"] = benchmark::Counter(
+        k_sim_seconds / 1e-6, benchmark::Counter::kIsIterationInvariantRate);
+    state.counters["numeric_factors"] = static_cast<double>(c.factors);
+    state.counters["symbolic_factors"] = static_cast<double>(c.symbolic);
+}
+
 }  // namespace
 
 BENCHMARK(switched_rc_incremental)->Unit(benchmark::kMillisecond);
 BENCHMARK(switched_rc_full_restamp)->Unit(benchmark::kMillisecond);
 BENCHMARK(buck_incremental)->Unit(benchmark::kMillisecond);
 BENCHMARK(buck_full_restamp)->Unit(benchmark::kMillisecond);
+BENCHMARK(swept_load)->Unit(benchmark::kMillisecond);
 
 SCA_BENCH_MAIN(bench_switching_restamp)

@@ -4,6 +4,7 @@
 
 #include "kernel/context.hpp"
 #include "kernel/process.hpp"
+#include "kernel/scheduler.hpp"
 #include "util/report.hpp"
 
 namespace sca::de {
@@ -36,7 +37,9 @@ void event::notify_delta() {
     context_->sched().queue_delta_event(*this);
 }
 
-void event::notify(const time& delay) {
+void event::notify(const time& delay) { notify(delay, scheduler::queue_back); }
+
+void event::notify(const time& delay, std::size_t behind) {
     if (delay == time::zero()) {
         notify_delta();
         return;
@@ -49,7 +52,7 @@ void event::notify(const time& delay) {
     }
     pending_kind_ = kind::timed;
     pending_time_ = at;
-    context_->sched().queue_timed_event(*this, at);
+    context_->sched().queue_timed_event(*this, at, behind);
 }
 
 void event::cancel() {

@@ -4,6 +4,7 @@
 #ifndef SCA_KERNEL_EVENT_HPP
 #define SCA_KERNEL_EVENT_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +36,12 @@ public:
     /// Timed notification after `delay`. A pending notification at an earlier
     /// time wins; a pending later one is cancelled and replaced.
     void notify(const time& delay);
+
+    /// Timed notification queued behind only the first `behind` entries at
+    /// its instant: where notify(delay) would have put it when that many
+    /// were queued there (see scheduler::timed_entries_at).  Same-instant
+    /// notifications fire in queue order.
+    void notify(const time& delay, std::size_t behind);
 
     /// Cancel any pending (delta or timed) notification.
     void cancel();

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "kernel/context.hpp"
+#include "kernel/scheduler.hpp"
 #include "util/report.hpp"
 
 namespace sca::de {
@@ -49,9 +50,13 @@ void method_process::next_trigger(event& e) {
 }
 
 void method_process::next_trigger(const time& delay) {
+    next_trigger(delay, scheduler::queue_back);
+}
+
+void method_process::next_trigger(const time& delay, std::size_t behind) {
     clear_dynamic_subscriptions();
     ensure_timeout_event();
-    timeout_event_->notify(delay);
+    timeout_event_->notify(delay, behind);
     timeout_event_->add_dynamic_subscriber(*this);
     dynamic_events_.push_back(timeout_event_.get());
     dynamic_waiting_ = true;

@@ -8,6 +8,7 @@
 #ifndef SCA_KERNEL_PROCESS_HPP
 #define SCA_KERNEL_PROCESS_HPP
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -45,6 +46,9 @@ public:
     void next_trigger(event& e);
     void next_trigger(const time& delay);
     void next_trigger(const time& delay, event& e);  // timeout or event
+    /// Timeout queued behind only `behind` same-instant entries (see
+    /// event::notify(delay, behind)).
+    void next_trigger(const time& delay, std::size_t behind);
 
     [[nodiscard]] bool dynamically_waiting() const noexcept { return dynamic_waiting_; }
 

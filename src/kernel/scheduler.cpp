@@ -59,10 +59,20 @@ void scheduler::make_runnable(method_process& p) {
 
 void scheduler::queue_delta_event(event& e) { delta_events_.push_back(&e); }
 
-void scheduler::queue_timed_event(event& e, const time& at) {
+void scheduler::queue_timed_event(event& e, const time& at, std::size_t behind) {
     util::require(at >= now_, "scheduler", "timed notification in the past");
     count_timed_notification();
-    timed_queue_.emplace(at, timed_entry{&e, e.generation()});
+    if (behind == queue_back) {
+        timed_queue_.emplace(at, timed_entry{&e, e.generation()});
+        return;
+    }
+    auto pos = timed_queue_.lower_bound(at);
+    for (; behind > 0 && pos != timed_queue_.end() && pos->first == at; --behind) ++pos;
+    timed_queue_.emplace_hint(pos, at, timed_entry{&e, e.generation()});
+}
+
+std::size_t scheduler::timed_entries_at(const time& at) const {
+    return timed_queue_.count(at);
 }
 
 void scheduler::request_update(signal_base& s) { update_queue_.push_back(&s); }

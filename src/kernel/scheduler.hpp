@@ -5,6 +5,7 @@
 #define SCA_KERNEL_SCHEDULER_HPP
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -59,7 +60,13 @@ public:
     // --- called by events / signals / processes ----------------------------
     void make_runnable(method_process& p);
     void queue_delta_event(event& e);
-    void queue_timed_event(event& e, const time& at);
+    /// `behind` = queue_back appends `e` to the entries at `at`; a count from
+    /// timed_entries_at() inserts it behind only that many of them.
+    static constexpr std::size_t queue_back = static_cast<std::size_t>(-1);
+    void queue_timed_event(event& e, const time& at, std::size_t behind = queue_back);
+    /// Timed-queue entries at `at`, stale ones included (they keep their
+    /// places until popped, so the count stays a valid queue position).
+    [[nodiscard]] std::size_t timed_entries_at(const time& at) const;
     void request_update(signal_base& s);
 
     /// Register a process for the initialization phase.

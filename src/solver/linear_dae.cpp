@@ -163,11 +163,22 @@ const linear_dae_solver::factor_entry* linear_dae_solver::find_factors() const {
 }
 
 void linear_dae_solver::factor_sparse() {
-    if (const factor_entry* hit = find_factors()) {
-        lu_.load_numeric(hit->factors);
-        ++cache_hits_;
-        return;
+    // A long run of misses means the values do not come back (a swept
+    // stamp, a changing timestep).  The cache then looks up and records only
+    // every k_idle_probe_interval-th refresh: such traffic pays a small
+    // share of the lookup and copies, and a later switching phase still
+    // finds its matrices again.
+    const bool use_cache = miss_streak_ < k_idle_after_misses ||
+                           miss_streak_ % k_idle_probe_interval == 0;
+    if (use_cache) {
+        if (const factor_entry* hit = find_factors()) {
+            lu_.load_numeric(hit->factors);
+            ++cache_hits_;
+            miss_streak_ = 0;
+            return;
+        }
     }
+    ++miss_streak_;
     // refactor() refuses without a matching analysis (first factorization,
     // restamp) or when its stability guard trips; only the latter is a
     // fallback from a frozen pivot order.
@@ -179,6 +190,7 @@ void linear_dae_solver::factor_sparse() {
         ++symbolic_factors_;
     }
     ++factors_;
+    if (!use_cache) return;
     // Record the pass under the analysis it ran against; a new analysis
     // (fallback, restamp) invalidates every earlier entry.
     if (lu_.symbolic_count() != cache_symbolic_) {
@@ -200,6 +212,7 @@ void linear_dae_solver::drop_factor_cache() noexcept {
     cache_size_ = 0;
     cache_next_ = 0;
     cache_symbolic_ = ~0ULL;
+    miss_streak_ = 0;
 }
 
 void linear_dae_solver::step() {

@@ -129,6 +129,10 @@ private:
         num::sparse_lu_d::numeric_values factors;
     };
     static constexpr std::size_t k_factor_cache_entries = 8;
+    /// Consecutive misses after which the cache only probes, and the probe
+    /// interval then (see factor_sparse).
+    static constexpr std::uint64_t k_idle_after_misses = 2 * k_factor_cache_entries;
+    static constexpr std::uint64_t k_idle_probe_interval = 32;
 
     void ensure_factored(integration_method m);
     /// Refresh the A/B copies when a generation or pattern moved.
@@ -191,6 +195,7 @@ private:
     std::size_t cache_size_ = 0;
     std::size_t cache_next_ = 0;           // round-robin replacement
     std::uint64_t cache_symbolic_ = ~0ULL;  // lu_.symbolic_count() it is keyed to
+    std::uint64_t miss_streak_ = 0;         // refreshes since the last hit
 };
 
 }  // namespace sca::solver

@@ -528,8 +528,7 @@ void cluster::on_wake() {
             // interleaved, so only the kernel re-arms are elided — the
             // per-period sequence the modules observe is unchanged.
             if (!writes_de_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
-                batch_check_pending_ = true;
-                ctx_->next_trigger(de::time::zero());
+                defer_batch_check();
                 return;
             }
             ctx_->next_trigger(next_cycle_start_ - now);
@@ -542,8 +541,7 @@ void cluster::on_wake() {
         // The peek may overestimate; the settled re-check below is what
         // guarantees correctness.
         if (!writes_de_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
-            batch_check_pending_ = true;
-            ctx_->next_trigger(de::time::zero());
+            defer_batch_check();
             return;
         }
         ctx_->next_trigger(period_);
@@ -579,12 +577,36 @@ void cluster::on_wake() {
             run_dynamic_cycle(next_cycle_start_);
             if (reschedules_ != planned_at) break;
         }
-        ctx_->next_trigger(next_cycle_start_ - now);
+        rearm_after_batch(now);
         return;
     }
     const std::uint64_t ahead = plan_batch_ahead();
     if (ahead > 0) run_cycles(next_cycle_start_, ahead);
-    ctx_->next_trigger(next_cycle_start_ - now);
+    rearm_after_batch(now);
+}
+
+void cluster::defer_batch_check() {
+    // A DE-reading cluster whose batch turns out empty must re-arm where
+    // per-period sync re-arms: in the queue at the timed wake, ahead of
+    // whatever same-instant processes arm later.  The recorder and any DE
+    // process that reads the views directly (not through a DE signal) at
+    // this cluster's period see the two in that order.  Pure clusters have
+    // always re-armed from the settled delta; the probe tap replays that.
+    if (reads_de_) {
+        rearm_at_ = next_cycle_start_;
+        rearm_behind_ = static_cast<const de::simulation_context&>(*ctx_).sched().timed_entries_at(
+            rearm_at_);
+    }
+    batch_check_pending_ = true;
+    ctx_->next_trigger(de::time::zero());
+}
+
+void cluster::rearm_after_batch(const de::time& now) {
+    if (reads_de_ && next_cycle_start_ == rearm_at_) {
+        proc_->next_trigger(next_cycle_start_ - now, rearm_behind_);
+    } else {
+        ctx_->next_trigger(next_cycle_start_ - now);
+    }
 }
 
 // ------------------------------------------------------------------ snapshot

@@ -259,6 +259,11 @@ private:
     /// flips same-instant event order after the boundary, and breaks
     /// bit-identity between sliced and full runs.
     [[nodiscard]] std::uint64_t plan_batch_ahead(bool for_peek = false) const;
+    /// Re-activate in a zero-delay delta to plan a batch once the instant
+    /// has settled.
+    void defer_batch_check();
+    /// The delta's timed re-arm for the next cycle start.
+    void rearm_after_batch(const de::time& now);
 
     // --- dynamic rescheduling (see tdf/dynamic.hpp) -------------------------
     /// Compile the current rates/anchors into a firing program (the PASS run
@@ -314,6 +319,10 @@ private:
     bool dynamic_ = false;
     bool block_execution_ = true;
     bool batch_check_pending_ = false;
+    // Where a DE-reading cluster's re-arm would have gone at its timed wake
+    // (instant and same-instant entries ahead of it); see defer_batch_check.
+    de::time rearm_at_;
+    std::size_t rearm_behind_ = 0;
     de::method_process* proc_ = nullptr;
     de::simulation_context* ctx_ = nullptr;
 };

@@ -387,9 +387,9 @@ golden_case pll_lock_case() {
 
 golden_case pwm_switch_rc_case() {
     // The power_driver family: a DE PWM gating a switched RC through a
-    // de_rswitch.  The cluster is DE-coupled, so it syncs every period and
-    // never compiles fused programs — the golden trace pins down that the
-    // block executor leaves this path untouched.
+    // de_rswitch.  The cluster reads DE, so it never compiles fused
+    // programs — the golden trace pins down that the block executor leaves
+    // this path untouched.
     return {"pwm_switch_rc",
             {{"vout", 1e-9}},  // MNA-solved: tolerance-tagged
             [](core::testbench& tb) {
@@ -414,6 +414,41 @@ golden_case pwm_switch_rc_case() {
                 // Co-prime with the 20 us PWM period so ripple doesn't alias.
                 tb.set_sample_period(3_us);
                 tb.set_stop_time(3_ms);
+            }};
+}
+
+golden_case pwm_switch_rc_at_period_case() {
+    // pwm_switch_rc sampled at the cluster's own 2 us period, through a
+    // callable and through a tdf_vsink's signal.  The recorder then wakes
+    // at every instant the cluster wakes and reads the network directly, so
+    // the trace pins down their same-instant order under period batching.
+    return {"pwm_switch_rc_at_period",
+            {{"vout", 0.0}, {"vout_tdf", 0.0}},  // pure arithmetic: exact
+            [](core::testbench& tb) {
+                auto& duty = tb.make<de::signal<double>>("duty", 0.4);
+                auto& gate = tb.make<de::signal<bool>>("gate", false);
+                auto& mod = tb.make<lib::pwm>("mod", 20_us);
+                mod.duty.bind(duty);
+                mod.out.bind(gate);
+
+                auto& net = tb.make<eln::network>("net");
+                net.set_timestep(2.0, de::time_unit::us);
+                auto gnd = net.ground();
+                auto vin = net.create_node("vin");
+                auto vsw = net.create_node("vsw");
+                tb.make<eln::vsource>("vs", net, vin, gnd, eln::waveform::dc(12.0));
+                auto& sw = tb.make<eln::de_rswitch>("sw", net, vin, vsw, 0.1, 1e6);
+                sw.ctrl.bind(gate);
+                tb.make<eln::resistor>("load", net, vsw, gnd, 100.0);
+                tb.make<eln::capacitor>("c", net, vsw, gnd, 1e-6);
+                auto& vs = tb.make<eln::tdf_vsink>("vsense", net, vsw, gnd);
+                auto& w = tb.make<tdf::signal<double>>("w");
+                vs.outp.bind(w);
+
+                tb.probe("vout", [&net, vsw] { return net.voltage(vsw); });
+                tb.probe("vout_tdf", w);
+                tb.set_sample_period(2_us);
+                tb.set_stop_time(1_ms);
             }};
 }
 
@@ -564,6 +599,9 @@ TEST(golden_waveforms, sigma_delta_adc) { check_against_golden(sigma_delta_adc_c
 TEST(golden_waveforms, pipeline_adc) { check_against_golden(pipeline_adc_case()); }
 TEST(golden_waveforms, pll_lock) { check_against_golden(pll_lock_case()); }
 TEST(golden_waveforms, pwm_switch_rc) { check_against_golden(pwm_switch_rc_case()); }
+TEST(golden_waveforms, pwm_switch_rc_at_period) {
+    check_against_golden(pwm_switch_rc_at_period_case());
+}
 TEST(golden_waveforms, adaptive_retimer) {
     check_against_golden(adaptive_retimer_case());
 }

@@ -14,6 +14,8 @@
 //   3. numeric factors bitwise equal to a fresh refactor() of the iteration
 //      matrix they were used for (cache hits included);
 //   4. byte-identical continuation after a snapshot at a random instant.
+// Probed through the testbench at, below and above the cluster period, the
+// same models must record byte-identical traces batched and per-period.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -297,7 +300,9 @@ struct step_oracle : tdf::module {
     }
 };
 
-void build_model(core::testbench& tb, const model_spec& m) {
+/// Builds the model; with `sample_fs` > 0 the testbench also probes the far
+/// node directly, the tdf_vsink's signal and the LSF output every sample_fs.
+void build_model(core::testbench& tb, const model_spec& m, std::int64_t sample_fs = 0) {
     auto& gate = tb.make<de::signal<bool>>("gate", false);
     auto& v = tb.make<de::signal<double>>("v", 0.0);
     auto& i = tb.make<de::signal<double>>("i", 0.0);
@@ -343,6 +348,12 @@ void build_model(core::testbench& tb, const model_spec& m) {
     probe.outp.bind(w_out);
     auto& net_oracle = tb.make<step_oracle>("net_oracle", net);
     net_oracle.in.bind(w_out);
+    if (sample_fs > 0) {
+        const eln::node far = n[m.nodes - 1];
+        tb.probe("v_far", [&net, far] { return net.voltage(far); });
+        tb.probe("w_out", w_out);
+        tb.set_sample_period(de::time::from_fs(sample_fs));
+    }
 
     if (m.with_lsf) {
         auto& sys = tb.make<lsf::system>("sys");
@@ -364,6 +375,7 @@ void build_model(core::testbench& tb, const model_spec& m) {
         tb.make<eln::resistor>("r_aux", net, aux, n[m.lsf_node], 4.7e3);
         auto& sys_oracle = tb.make<step_oracle>("sys_oracle", sys);
         sys_oracle.in.bind(w_y);
+        if (sample_fs > 0) tb.probe("w_y", w_y);
     }
     tb.set_stop_time(de::time::from_fs(m.end_us * k_us));
 }
@@ -480,6 +492,39 @@ TEST_P(switched_fast_path, batching_slicing_and_snapshots_are_invisible) {
     }
 }
 
+TEST_P(switched_fast_path, probes_record_what_per_period_sync_records) {
+    // The DE recorder reads the network directly, not through a DE signal,
+    // so what it records at an instant the cluster also wakes at depends on
+    // their order in the kernel queue.  Batching must leave that order as
+    // per-period sync has it.
+    const std::uint64_t seed = GetParam();
+    const model_spec spec = make_spec(seed);
+    const std::int64_t period_fs = spec.period_us * k_us;
+    for (const auto& [num, den] : {std::pair{1, 1}, {1, 2}, {2, 1}, {3, 2}}) {
+        const std::int64_t sample_fs = period_fs * num / den;
+        const auto record = [&](std::uint64_t max_batch) {
+            core::testbench tb;
+            tdf::registry::of(tb.context()).set_default_max_batch_periods(max_batch);
+            build_model(tb, spec, sample_fs);
+            tb.run();
+            std::vector<std::vector<double>> rows{tb.times()};
+            for (const char* name : {"v_far", "w_out", "w_y"}) {
+                if (name != std::string("w_y") || spec.with_lsf) rows.push_back(tb.waveform(name));
+            }
+            return rows;
+        };
+        const auto batched = record(tdf::cluster::k_default_max_batch_periods);
+        const auto per_period = record(1);
+        const std::string tag = "seed " + std::to_string(seed) + " sample = period * " +
+                                std::to_string(num) + "/" + std::to_string(den);
+        ASSERT_EQ(batched.size(), per_period.size()) << tag;
+        ASSERT_GT(batched[0].size(), 20U) << tag;
+        for (std::size_t c = 0; c < batched.size(); ++c) {
+            EXPECT_TRUE(same_bits(batched[c], per_period[c])) << tag << " column " << c;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(seeds, switched_fast_path, ::testing::Range<std::uint64_t>(1, 49));
 
 TEST(switched_fast_path_suite, the_factor_cache_is_exercised) {
@@ -580,6 +625,43 @@ TEST(switched_solver, tripped_refactor_guard_counts_a_fallback_and_rekeys_the_ca
     EXPECT_EQ(s.factor_cache_hits(), 1U);
     EXPECT_EQ(s.refactor_fallbacks(), 1U);
     EXPECT_EQ(s.factor_count(), 3U);
+}
+
+TEST(switched_solver, a_run_of_misses_idles_the_cache_until_a_probe_hits) {
+    // A swept stamp never revisits a matrix: after a run of misses the cache
+    // stops looking up and recording on every refresh.  Once the values
+    // start cycling again, a probing refresh finds its matrix and the cache
+    // serves every revisit again.
+    solver::equation_system sys;
+    const std::size_t x = sys.add_unknown("x");
+    const std::size_t y = sys.add_unknown("y");
+    const auto g = sys.add_stamp(1.0);
+    sys.stamp_a(g, x, x, 1.0);
+    sys.add_a(x, y, -1.0);
+    sys.add_a(y, x, -1.0);
+    sys.add_a(y, y, 2.0);
+    sys.add_b(x, x, 1e-6);
+    sys.add_b(y, y, 2e-6);
+    sys.add_rhs_constant(x, 1.0);
+    solver::linear_dae_solver s(sys, solver::integration_method::trapezoidal, 1e-6);
+    s.set_initial_state({0.0, 0.0}, 0.0);
+    for (int k = 0; k < 100; ++k) {
+        sys.set_stamp(g, 1.0 + 1e-3 * k);
+        step_and_check(s, sys);
+    }
+    EXPECT_EQ(s.factor_cache_hits(), 0U);
+    EXPECT_EQ(s.factor_count(), 100U);
+    for (int k = 0; k < 200; ++k) {
+        sys.set_stamp(g, k % 2 == 0 ? 5.0 : 7.0);
+        step_and_check(s, sys);
+    }
+    // Idle refreshes miss without recording until a probe records one of
+    // the two matrices and the next probe, on the same parity, hits it;
+    // an always-recording cache would miss only twice (198 hits).
+    EXPECT_GT(s.factor_cache_hits(), 100U);
+    EXPECT_LT(s.factor_cache_hits(), 180U);
+    EXPECT_EQ(s.factor_count() + s.factor_cache_hits(), 300U);
+    EXPECT_EQ(s.symbolic_factor_count(), 1U);
 }
 
 TEST(switched_solver, scatter_follows_a_pattern_that_grows_without_a_restamp) {
