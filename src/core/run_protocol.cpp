@@ -83,6 +83,16 @@ struct reader {
         pos += n;
         return s;
     }
+    /// Element count of a sequence whose items encode to at least
+    /// `min_bytes` each, bounded by the remaining payload before anything is
+    /// sized by it.
+    std::uint32_t get_count(std::size_t min_bytes) {
+        const std::uint32_t n = get_u32();
+        util::require(n <= (size - pos) / min_bytes, "run_protocol",
+                      "truncated message: element count " + std::to_string(n) +
+                          " exceeds the remaining payload");
+        return n;
+    }
     std::vector<double> get_doubles() {
         const std::uint64_t n = get_u64();
         // Bound the count against the actual payload size before allocating
@@ -123,7 +133,7 @@ params get_params(reader& r) {
     const std::uint64_t run_index = r.get_u64();
     const std::uint64_t seed = r.get_u64();
     p.set_run_identity(run_index, seed);
-    const std::uint32_t n = r.get_u32();
+    const std::uint32_t n = r.get_count(9);  // name, kind, value
     for (std::uint32_t i = 0; i < n; ++i) {
         std::string name = r.get_string();
         const std::uint8_t kind = r.get_u8();
@@ -184,16 +194,16 @@ run_result decode_result(const std::uint8_t* data, std::size_t n) {
     res.ok = r.get_u8() != 0;
     res.error = r.get_string();
     res.parameters = get_params(r);
-    const std::uint32_t n_meas = r.get_u32();
+    const std::uint32_t n_meas = r.get_count(12);  // name + value
     for (std::uint32_t i = 0; i < n_meas; ++i) {
         std::string name = r.get_string();
         res.measurements[name] = r.get_double();
     }
     res.times = r.get_doubles();
-    const std::uint32_t n_probes = r.get_u32();
+    const std::uint32_t n_probes = r.get_count(4);
     res.probe_names.reserve(n_probes);
     for (std::uint32_t i = 0; i < n_probes; ++i) res.probe_names.push_back(r.get_string());
-    const std::uint32_t n_waves = r.get_u32();
+    const std::uint32_t n_waves = r.get_count(8);
     res.waveforms.reserve(n_waves);
     for (std::uint32_t i = 0; i < n_waves; ++i) res.waveforms.push_back(r.get_doubles());
     r.expect_done();
@@ -243,7 +253,7 @@ std::vector<std::uint8_t> encode_catalog(const std::vector<catalog_entry>& entri
 
 std::vector<catalog_entry> decode_catalog(const std::uint8_t* data, std::size_t n) {
     reader r{data, n};
-    const std::uint32_t count = r.get_u32();
+    const std::uint32_t count = r.get_count(24);  // name + params header
     std::vector<catalog_entry> entries;
     entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -290,7 +300,7 @@ session_info decode_opened(const std::uint8_t* data, std::size_t n) {
     info.session_id = r.get_u64();
     info.stop_time_s = r.get_double();
     info.sample_period_s = r.get_double();
-    const std::uint32_t count = r.get_u32();
+    const std::uint32_t count = r.get_count(4);
     info.probes.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) info.probes.push_back(r.get_string());
     r.expect_done();
@@ -417,7 +427,7 @@ close_info decode_close(const std::uint8_t* data, std::size_t n) {
     info.pace_max_drift_s = r.get_double();
     info.max_queue_depth = r.get_u64();
     info.slices = r.get_u64();
-    const std::uint32_t count = r.get_u32();
+    const std::uint32_t count = r.get_count(12);  // name + value
     for (std::uint32_t i = 0; i < count; ++i) {
         std::string name = r.get_string();
         info.measurements[name] = r.get_double();
@@ -486,7 +496,7 @@ run_metrics decode_metrics(const std::uint8_t* data, std::size_t n) {
     reader r{data, n};
     run_metrics m;
     m.index = r.get_u64();
-    const std::uint32_t count = r.get_u32();
+    const std::uint32_t count = r.get_count(37);  // name, kind, four numbers
     m.entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         util::metric_value mv;

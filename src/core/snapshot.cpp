@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <unordered_map>
@@ -349,6 +350,8 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
         sp.activations = r.u64();
         sp.has_timeout = r.boolean();
         const std::uint64_t n_keys = r.u64();
+        util::require(n_keys <= r.remaining() / 9, "snapshot",
+                      "process event-key count exceeds the payload");  // kind + u64
         sp.keys.reserve(n_keys);
         for (std::uint64_t k = 0; k < n_keys; ++k) {
             const std::uint8_t kind = r.u8();
@@ -382,6 +385,11 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
     };
 
     // --- events -------------------------------------------------------------
+    // Subscriptions are staged, not linked: an event's subscriber list and
+    // the processes' mirrors of it must agree first, since teardown unlinks
+    // each side through the other's pointers.
+    using link = std::pair<de::event*, std::size_t>;  // (event, process index)
+    std::vector<link> subscriptions;                   // subscriber order
     const std::uint64_t n_with_subs = r.u64();
     for (std::uint64_t i = 0; i < n_with_subs; ++i) {
         de::event& e = read_event_key(r, ns, procs);
@@ -390,7 +398,7 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
             const std::uint64_t idx = r.u64();
             util::require(idx < procs.size(), "snapshot",
                           "dynamic subscriber process index out of range");
-            e.add_dynamic_subscriber(*procs[idx]);
+            subscriptions.emplace_back(&e, idx);
         }
     }
     const std::uint64_t n_timed = r.u64();
@@ -400,15 +408,31 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
         e.restore_timed(at);
     }
 
+    std::vector<link> mirrors;  // process order, then each wait list's order
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+        for (const auto& [kind, key] : saved[i].keys) {
+            mirrors.emplace_back(&resolve(kind, key.first, key.second), i);
+        }
+    }
+    const auto by_address = [](const link& a, const link& b) {
+        return std::less<>()(a.first, b.first) ||
+               (a.first == b.first && a.second < b.second);
+    };
+    std::vector<link> lhs = subscriptions;
+    std::vector<link> rhs = mirrors;
+    std::sort(lhs.begin(), lhs.end(), by_address);
+    std::sort(rhs.begin(), rhs.end(), by_address);
+    util::require(lhs == rhs, "snapshot",
+                  "dynamic event subscriptions disagree with the processes' wait lists");
+    for (const auto& [e, idx] : subscriptions) e->add_dynamic_subscriber(*procs[idx]);
+
     // Second pass over processes: wait states and the ordered mirror of the
     // events each one is dynamically waiting on.
     for (std::size_t i = 0; i < procs.size(); ++i) {
         procs[i]->restore_dynamic_wait(saved[i].dynamic_waiting);
         procs[i]->restore_activation_count(saved[i].activations);
-        for (const auto& [kind, key] : saved[i].keys) {
-            procs[i]->restore_dynamic_event(resolve(kind, key.first, key.second));
-        }
     }
+    for (const auto& [e, idx] : mirrors) procs[idx]->restore_dynamic_event(*e);
 
     // --- TDF clusters -------------------------------------------------------
     const auto& clusters = tdf::registry::of(ctx).clusters();

@@ -4,15 +4,11 @@ namespace sca::eln {
 
 // --------------------------------------------------------------- tdf_vsource
 
-tdf_vsource::tdf_vsource(const std::string& name, network& net)
+tdf_vsource::tdf_vsource(const std::string& name, network& net, pin p_pin, pin n_pin)
     : component(name, net), p("p", *this), n("n", *this), inp("inp") {
     inp.set_owner(net);
-}
-
-tdf_vsource::tdf_vsource(const std::string& name, network& net, node p_node, node n_node)
-    : tdf_vsource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void tdf_vsource::stamp(network& net) {
@@ -30,15 +26,11 @@ void tdf_vsource::read_tdf_inputs(network& net) {
 
 // --------------------------------------------------------------- tdf_isource
 
-tdf_isource::tdf_isource(const std::string& name, network& net)
+tdf_isource::tdf_isource(const std::string& name, network& net, pin p_pin, pin n_pin)
     : component(name, net), p("p", *this), n("n", *this), inp("inp") {
     inp.set_owner(net);
-}
-
-tdf_isource::tdf_isource(const std::string& name, network& net, node p_node, node n_node)
-    : tdf_isource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void tdf_isource::stamp(network& net) {
@@ -54,13 +46,9 @@ void tdf_isource::read_tdf_inputs(network& net) {
 
 // ----------------------------------------------------------------- tdf_vsink
 
-tdf_vsink::tdf_vsink(const std::string& name, network& net)
+tdf_vsink::tdf_vsink(const std::string& name, network& net, pin a, pin b)
     : component(name, net), p("p", *this), n("n", *this), outp("outp") {
     outp.set_owner(net);
-}
-
-tdf_vsink::tdf_vsink(const std::string& name, network& net, node a, node b)
-    : tdf_vsink(name, net) {
     p.bind(a);
     n.bind(b);
 }
@@ -73,13 +61,9 @@ void tdf_vsink::write_tdf_outputs(network& net) {
 
 // ----------------------------------------------------------------- tdf_isink
 
-tdf_isink::tdf_isink(const std::string& name, network& net)
+tdf_isink::tdf_isink(const std::string& name, network& net, pin a, pin b)
     : component(name, net), p("p", *this), n("n", *this), outp("outp") {
     outp.set_owner(net);
-}
-
-tdf_isink::tdf_isink(const std::string& name, network& net, node a, node b)
-    : tdf_isink(name, net) {
     p.bind(a);
     n.bind(b);
 }
@@ -96,15 +80,11 @@ void tdf_isink::write_tdf_outputs(network& net) { outp.write(net.current(*this))
 
 // ---------------------------------------------------------------- de_vsource
 
-de_vsource::de_vsource(const std::string& name, network& net)
+de_vsource::de_vsource(const std::string& name, network& net, pin p_pin, pin n_pin)
     : component(name, net), p("p", *this), n("n", *this), inp("inp") {
     net.declare_de_reads();
-}
-
-de_vsource::de_vsource(const std::string& name, network& net, node p_node, node n_node)
-    : de_vsource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void de_vsource::stamp(network& net) {
@@ -120,15 +100,11 @@ void de_vsource::read_tdf_inputs(network& net) { net.set_input(slot_, inp.read()
 
 // ---------------------------------------------------------------- de_isource
 
-de_isource::de_isource(const std::string& name, network& net)
+de_isource::de_isource(const std::string& name, network& net, pin p_pin, pin n_pin)
     : component(name, net), p("p", *this), n("n", *this), inp("inp") {
     net.declare_de_reads();
-}
-
-de_isource::de_isource(const std::string& name, network& net, node p_node, node n_node)
-    : de_isource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void de_isource::stamp(network& net) {
@@ -144,13 +120,9 @@ void de_isource::read_tdf_inputs(network& net) {
 
 // ------------------------------------------------------------------ de_vsink
 
-de_vsink::de_vsink(const std::string& name, network& net)
+de_vsink::de_vsink(const std::string& name, network& net, pin a, pin b)
     : component(name, net), p("p", *this), n("n", *this), outp("outp") {
     net.declare_de_writes();
-}
-
-de_vsink::de_vsink(const std::string& name, network& net, node a, node b)
-    : de_vsink(name, net) {
     p.bind(a);
     n.bind(b);
 }
@@ -161,17 +133,13 @@ void de_vsink::write_tdf_outputs(network& net) {
 
 // ---------------------------------------------------------------- de_rswitch
 
-de_rswitch::de_rswitch(const std::string& name, network& net, double r_on, double r_off)
+de_rswitch::de_rswitch(const std::string& name, network& net, pin a, pin b, double r_on,
+                       double r_off)
     : component(name, net), p("p", *this), n("n", *this), ctrl("ctrl"), r_on_(r_on),
       r_off_(r_off) {
     net.declare_de_reads();
     util::require(r_on > 0.0 && r_off > r_on, this->name(),
                   "switch requires 0 < r_on < r_off");
-}
-
-de_rswitch::de_rswitch(const std::string& name, network& net, node a, node b, double r_on,
-                       double r_off)
-    : de_rswitch(name, net, r_on, r_off) {
     p.bind(a);
     n.bind(b);
 }

@@ -6,8 +6,8 @@ namespace sca::eln {
 
 // ------------------------------------------------------------------ rc_line
 
-rc_line::rc_line(const std::string& name, network& net, double r_total, double c_total,
-                 std::size_t sections)
+rc_line::rc_line(const std::string& name, network& net, pin a_pin, pin b_pin,
+                 pin ref_pin, double r_total, double c_total, std::size_t sections)
     : component(name, net), a("a", *this, nature::electrical),
       b("b", *this, nature::electrical), ref("ref", *this), r_total_(r_total),
       c_total_(c_total), sections_(sections) {
@@ -18,14 +18,9 @@ rc_line::rc_line(const std::string& name, network& net, double r_total, double c
         internal_.push_back(
             net.create_node(this->name() + ".n" + std::to_string(i)));
     }
-}
-
-rc_line::rc_line(const std::string& name, network& net, node a_node, node b_node,
-                 node ref_node, double r_total, double c_total, std::size_t sections)
-    : rc_line(name, net, r_total, c_total, sections) {
-    a.bind(a_node);
-    b.bind(b_node);
-    ref.bind(ref_node);
+    a.bind(a_pin);
+    b.bind(b_pin);
+    ref.bind(ref_pin);
 }
 
 void rc_line::stamp(network& net) {
@@ -43,9 +38,9 @@ void rc_line::stamp(network& net) {
 
 // ---------------------------------------------------------------- rlgc_line
 
-rlgc_line::rlgc_line(const std::string& name, network& net, double r_total,
-                     double l_total, double g_total, double c_total,
-                     std::size_t sections)
+rlgc_line::rlgc_line(const std::string& name, network& net, pin a_pin, pin b_pin,
+                     pin ref_pin, double r_total, double l_total, double g_total,
+                     double c_total, std::size_t sections)
     : component(name, net), a("a", *this, nature::electrical),
       b("b", *this, nature::electrical), ref("ref", *this), r_total_(r_total),
       l_total_(l_total), g_total_(g_total), c_total_(c_total), sections_(sections) {
@@ -60,15 +55,9 @@ rlgc_line::rlgc_line(const std::string& name, network& net, double r_total,
             nodes_.push_back(net.create_node(this->name() + ".n" + std::to_string(i)));
         }
     }
-}
-
-rlgc_line::rlgc_line(const std::string& name, network& net, node a_node, node b_node,
-                     node ref_node, double r_total, double l_total, double g_total,
-                     double c_total, std::size_t sections)
-    : rlgc_line(name, net, r_total, l_total, g_total, c_total, sections) {
-    a.bind(a_node);
-    b.bind(b_node);
-    ref.bind(ref_node);
+    a.bind(a_pin);
+    b.bind(b_pin);
+    ref.bind(ref_pin);
 }
 
 void rlgc_line::stamp(network& net) {

@@ -34,14 +34,10 @@ void stamp_integral_branch(network& net, component& c, const node& a, const node
 
 // ---------------------------------------------------------------------- mass
 
-mass::mass(const std::string& name, network& net, double kilograms)
+mass::mass(const std::string& name, network& net, pin n, double kilograms)
     : component(name, net), p("p", *this, nature::mechanical_translational),
       m_(kilograms) {
     util::require(kilograms > 0.0, this->name(), "mass must be positive");
-}
-
-mass::mass(const std::string& name, network& net, node n, double kilograms)
-    : mass(name, net, kilograms) {
     p.bind(n);
 }
 
@@ -51,34 +47,26 @@ void mass::stamp(network& net) {
 
 // -------------------------------------------------------------------- damper
 
-damper::damper(const std::string& name, network& net, double n_s_per_m)
+damper::damper(const std::string& name, network& net, pin a_pin, pin b_pin,
+               double n_s_per_m)
     : component(name, net), a("a", *this, nature::mechanical_translational),
       b("b", *this, nature::mechanical_translational), d_(n_s_per_m) {
     util::require(n_s_per_m > 0.0, this->name(), "damping must be positive");
-}
-
-damper::damper(const std::string& name, network& net, node a_node, node b_node,
-               double n_s_per_m)
-    : damper(name, net, n_s_per_m) {
-    a.bind(a_node);
-    b.bind(b_node);
+    a.bind(a_pin);
+    b.bind(b_pin);
 }
 
 void damper::stamp(network& net) { net.stamp_conductance(a.get(), b.get(), d_); }
 
 // -------------------------------------------------------------------- spring
 
-spring::spring(const std::string& name, network& net, double n_per_m)
+spring::spring(const std::string& name, network& net, pin a_pin, pin b_pin,
+               double n_per_m)
     : component(name, net), a("a", *this, nature::mechanical_translational),
       b("b", *this, nature::mechanical_translational), k_(n_per_m) {
     util::require(n_per_m > 0.0, this->name(), "stiffness must be positive");
-}
-
-spring::spring(const std::string& name, network& net, node a_node, node b_node,
-               double n_per_m)
-    : spring(name, net, n_per_m) {
-    a.bind(a_node);
-    b.bind(b_node);
+    a.bind(a_pin);
+    b.bind(b_pin);
 }
 
 void spring::stamp(network& net) {
@@ -87,15 +75,12 @@ void spring::stamp(network& net) {
 
 // -------------------------------------------------------------- force_source
 
-force_source::force_source(const std::string& name, network& net, waveform w)
+force_source::force_source(const std::string& name, network& net, pin p_pin,
+                           pin n_pin, waveform w)
     : component(name, net), p("p", *this, nature::mechanical_translational),
-      n("n", *this, nature::mechanical_translational), wave_(std::move(w)) {}
-
-force_source::force_source(const std::string& name, network& net, node p_node,
-                           node n_node, waveform w)
-    : force_source(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
+      n("n", *this, nature::mechanical_translational), wave_(std::move(w)) {
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void force_source::stamp(network& net) {
@@ -104,14 +89,10 @@ void force_source::stamp(network& net) {
 
 // ------------------------------------------------------------ position_probe
 
-position_probe::position_probe(const std::string& name, network& net)
+position_probe::position_probe(const std::string& name, network& net, pin n)
     : component(name, net), p("p", *this, nature::mechanical_translational),
       outp("outp") {
     outp.set_owner(net);
-}
-
-position_probe::position_probe(const std::string& name, network& net, node n)
-    : position_probe(name, net) {
     p.bind(n);
 }
 
@@ -128,13 +109,9 @@ void position_probe::write_tdf_outputs(network& net) {
 
 // ------------------------------------------------------------------- inertia
 
-inertia::inertia(const std::string& name, network& net, double kg_m2)
+inertia::inertia(const std::string& name, network& net, pin n, double kg_m2)
     : component(name, net), p("p", *this, nature::mechanical_rotational), j_(kg_m2) {
     util::require(kg_m2 > 0.0, this->name(), "inertia must be positive");
-}
-
-inertia::inertia(const std::string& name, network& net, node n, double kg_m2)
-    : inertia(name, net, kg_m2) {
     p.bind(n);
 }
 
@@ -144,18 +121,13 @@ void inertia::stamp(network& net) {
 
 // --------------------------------------------------------- rotational_damper
 
-rotational_damper::rotational_damper(const std::string& name, network& net,
-                                     double n_m_s_per_rad)
+rotational_damper::rotational_damper(const std::string& name, network& net, pin a_pin,
+                                     pin b_pin, double n_m_s_per_rad)
     : component(name, net), a("a", *this, nature::mechanical_rotational),
       b("b", *this, nature::mechanical_rotational), d_(n_m_s_per_rad) {
     util::require(n_m_s_per_rad > 0.0, this->name(), "damping must be positive");
-}
-
-rotational_damper::rotational_damper(const std::string& name, network& net, node a_node,
-                                     node b_node, double n_m_s_per_rad)
-    : rotational_damper(name, net, n_m_s_per_rad) {
-    a.bind(a_node);
-    b.bind(b_node);
+    a.bind(a_pin);
+    b.bind(b_pin);
 }
 
 void rotational_damper::stamp(network& net) {
@@ -164,18 +136,13 @@ void rotational_damper::stamp(network& net) {
 
 // ------------------------------------------------------------ torsion_spring
 
-torsion_spring::torsion_spring(const std::string& name, network& net,
-                               double n_m_per_rad)
+torsion_spring::torsion_spring(const std::string& name, network& net, pin a_pin,
+                               pin b_pin, double n_m_per_rad)
     : component(name, net), a("a", *this, nature::mechanical_rotational),
       b("b", *this, nature::mechanical_rotational), k_(n_m_per_rad) {
     util::require(n_m_per_rad > 0.0, this->name(), "stiffness must be positive");
-}
-
-torsion_spring::torsion_spring(const std::string& name, network& net, node a_node,
-                               node b_node, double n_m_per_rad)
-    : torsion_spring(name, net, n_m_per_rad) {
-    a.bind(a_node);
-    b.bind(b_node);
+    a.bind(a_pin);
+    b.bind(b_pin);
 }
 
 void torsion_spring::stamp(network& net) {
@@ -184,15 +151,12 @@ void torsion_spring::stamp(network& net) {
 
 // ------------------------------------------------------------- torque_source
 
-torque_source::torque_source(const std::string& name, network& net, waveform w)
+torque_source::torque_source(const std::string& name, network& net, pin p_pin,
+                             pin n_pin, waveform w)
     : component(name, net), p("p", *this, nature::mechanical_rotational),
-      n("n", *this, nature::mechanical_rotational), wave_(std::move(w)) {}
-
-torque_source::torque_source(const std::string& name, network& net, node p_node,
-                             node n_node, waveform w)
-    : torque_source(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
+      n("n", *this, nature::mechanical_rotational), wave_(std::move(w)) {
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void torque_source::stamp(network& net) {
@@ -201,15 +165,10 @@ void torque_source::stamp(network& net) {
 
 // ------------------------------------------------------- thermal_capacitance
 
-thermal_capacitance::thermal_capacitance(const std::string& name, network& net,
+thermal_capacitance::thermal_capacitance(const std::string& name, network& net, pin n,
                                          double j_per_k)
     : component(name, net), p("p", *this, nature::thermal), c_(j_per_k) {
     util::require(j_per_k > 0.0, this->name(), "heat capacity must be positive");
-}
-
-thermal_capacitance::thermal_capacitance(const std::string& name, network& net, node n,
-                                         double j_per_k)
-    : thermal_capacitance(name, net, j_per_k) {
     p.bind(n);
 }
 
@@ -220,17 +179,12 @@ void thermal_capacitance::stamp(network& net) {
 // -------------------------------------------------------- thermal_resistance
 
 thermal_resistance::thermal_resistance(const std::string& name, network& net,
-                                       double k_per_w)
+                                       pin a_pin, pin b_pin, double k_per_w)
     : component(name, net), a("a", *this, nature::thermal),
       b("b", *this, nature::thermal), r_(k_per_w) {
     util::require(k_per_w > 0.0, this->name(), "thermal resistance must be positive");
-}
-
-thermal_resistance::thermal_resistance(const std::string& name, network& net,
-                                       node a_node, node b_node, double k_per_w)
-    : thermal_resistance(name, net, k_per_w) {
-    a.bind(a_node);
-    b.bind(b_node);
+    a.bind(a_pin);
+    b.bind(b_pin);
 }
 
 void thermal_resistance::stamp(network& net) {
@@ -239,15 +193,12 @@ void thermal_resistance::stamp(network& net) {
 
 // --------------------------------------------------------------- heat_source
 
-heat_source::heat_source(const std::string& name, network& net, waveform w)
+heat_source::heat_source(const std::string& name, network& net, pin p_pin,
+                         pin n_pin, waveform w)
     : component(name, net), p("p", *this, nature::thermal),
-      n("n", *this, nature::thermal), wave_(std::move(w)) {}
-
-heat_source::heat_source(const std::string& name, network& net, node p_node,
-                         node n_node, waveform w)
-    : heat_source(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
+      n("n", *this, nature::thermal), wave_(std::move(w)) {
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void heat_source::stamp(network& net) {
@@ -256,23 +207,18 @@ void heat_source::stamp(network& net) {
 
 // ------------------------------------------------------------------ dc_motor
 
-dc_motor::dc_motor(const std::string& name, network& net, double resistance,
-                   double inductance, double k_torque)
+dc_motor::dc_motor(const std::string& name, network& net, pin elec_p, pin elec_n,
+                   pin shaft_pin, double resistance, double inductance,
+                   double k_torque)
     : component(name, net), p("p", *this, nature::electrical),
       n("n", *this, nature::electrical),
       shaft("shaft", *this, nature::mechanical_rotational), r_(resistance),
       l_(inductance), k_(k_torque) {
     util::require(resistance > 0.0 && inductance > 0.0 && k_torque > 0.0, this->name(),
                   "motor parameters must be positive");
-}
-
-dc_motor::dc_motor(const std::string& name, network& net, node elec_p, node elec_n,
-                   node shaft_node, double resistance, double inductance,
-                   double k_torque)
-    : dc_motor(name, net, resistance, inductance, k_torque) {
     p.bind(elec_p);
     n.bind(elec_n);
-    shaft.bind(shaft_node);
+    shaft.bind(shaft_pin);
 }
 
 void dc_motor::stamp(network& net) {

@@ -10,11 +10,10 @@
 //   mech. rot.    ang.vel rad/s   torque N*m     inertia    damper    spring
 //   thermal       temperature K   heat flow W    heat cap.  R_th      (none)
 //
-// Every component exposes its pins as bindable eln::terminal ports carrying
-// the expected nature, so cross-domain connections are rejected at bind time
-// except through explicit transducers (dc_motor couples the electrical and
-// rotational disciplines).  The legacy node constructors remain as thin
-// wrappers that bind the terminals immediately.
+// Every component takes its pins in its one constructor, and each pin's
+// terminal carries the expected nature, so cross-domain connections are
+// rejected at construction except through explicit transducers (dc_motor
+// couples the electrical and rotational disciplines).
 #ifndef SCA_ELN_MULTIDOMAIN_HPP
 #define SCA_ELN_MULTIDOMAIN_HPP
 
@@ -32,8 +31,7 @@ class mass : public component {
 public:
     terminal p;
 
-    mass(const std::string& name, network& net, double kilograms);
-    mass(const std::string& name, network& net, node n, double kilograms);
+    mass(const std::string& name, network& net, pin n, double kilograms);
     void stamp(network& net) override;
 
 private:
@@ -45,8 +43,7 @@ class damper : public component {
 public:
     terminal a, b;
 
-    damper(const std::string& name, network& net, double n_s_per_m);
-    damper(const std::string& name, network& net, node a, node b, double n_s_per_m);
+    damper(const std::string& name, network& net, pin a, pin b, double n_s_per_m);
     void stamp(network& net) override;
 
 private:
@@ -58,8 +55,7 @@ class spring : public component {
 public:
     terminal a, b;
 
-    spring(const std::string& name, network& net, double n_per_m);
-    spring(const std::string& name, network& net, node a, node b, double n_per_m);
+    spring(const std::string& name, network& net, pin a, pin b, double n_per_m);
     void stamp(network& net) override;
 
 private:
@@ -71,8 +67,7 @@ class force_source : public component {
 public:
     terminal p, n;
 
-    force_source(const std::string& name, network& net, waveform w);
-    force_source(const std::string& name, network& net, node p, node n, waveform w);
+    force_source(const std::string& name, network& net, pin p, pin n, waveform w);
     void stamp(network& net) override;
 
 private:
@@ -86,8 +81,7 @@ public:
     terminal p;
     tdf::out<double> outp;
 
-    position_probe(const std::string& name, network& net);
-    position_probe(const std::string& name, network& net, node n);
+    position_probe(const std::string& name, network& net, pin n);
 
     void stamp(network& net) override;
     void write_tdf_outputs(network& net) override;
@@ -106,8 +100,7 @@ class inertia : public component {
 public:
     terminal p;
 
-    inertia(const std::string& name, network& net, double kg_m2);
-    inertia(const std::string& name, network& net, node n, double kg_m2);
+    inertia(const std::string& name, network& net, pin n, double kg_m2);
     void stamp(network& net) override;
 
 private:
@@ -119,8 +112,7 @@ class rotational_damper : public component {
 public:
     terminal a, b;
 
-    rotational_damper(const std::string& name, network& net, double n_m_s_per_rad);
-    rotational_damper(const std::string& name, network& net, node a, node b,
+    rotational_damper(const std::string& name, network& net, pin a, pin b,
                       double n_m_s_per_rad);
     void stamp(network& net) override;
 
@@ -133,8 +125,7 @@ class torsion_spring : public component {
 public:
     terminal a, b;
 
-    torsion_spring(const std::string& name, network& net, double n_m_per_rad);
-    torsion_spring(const std::string& name, network& net, node a, node b,
+    torsion_spring(const std::string& name, network& net, pin a, pin b,
                    double n_m_per_rad);
     void stamp(network& net) override;
 
@@ -147,8 +138,7 @@ class torque_source : public component {
 public:
     terminal p, n;
 
-    torque_source(const std::string& name, network& net, waveform w);
-    torque_source(const std::string& name, network& net, node p, node n, waveform w);
+    torque_source(const std::string& name, network& net, pin p, pin n, waveform w);
     void stamp(network& net) override;
 
 private:
@@ -162,8 +152,7 @@ class thermal_capacitance : public component {
 public:
     terminal p;
 
-    thermal_capacitance(const std::string& name, network& net, double j_per_k);
-    thermal_capacitance(const std::string& name, network& net, node n, double j_per_k);
+    thermal_capacitance(const std::string& name, network& net, pin n, double j_per_k);
     void stamp(network& net) override;
 
 private:
@@ -175,8 +164,7 @@ class thermal_resistance : public component {
 public:
     terminal a, b;
 
-    thermal_resistance(const std::string& name, network& net, double k_per_w);
-    thermal_resistance(const std::string& name, network& net, node a, node b,
+    thermal_resistance(const std::string& name, network& net, pin a, pin b,
                        double k_per_w);
     void stamp(network& net) override;
 
@@ -189,8 +177,7 @@ class heat_source : public component {
 public:
     terminal p, n;
 
-    heat_source(const std::string& name, network& net, waveform w);
-    heat_source(const std::string& name, network& net, node p, node n, waveform w);
+    heat_source(const std::string& name, network& net, pin p, pin n, waveform w);
     void stamp(network& net) override;
 
 private:
@@ -205,9 +192,7 @@ class dc_motor : public component {
 public:
     terminal p, n, shaft;
 
-    dc_motor(const std::string& name, network& net, double resistance,
-             double inductance, double k_torque);
-    dc_motor(const std::string& name, network& net, node elec_p, node elec_n, node shaft,
+    dc_motor(const std::string& name, network& net, pin elec_p, pin elec_n, pin shaft,
              double resistance, double inductance, double k_torque);
 
     void stamp(network& net) override;

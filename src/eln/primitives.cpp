@@ -16,14 +16,10 @@ void stamp_branch_kcl(network& net, std::size_t k, const node& a, const node& b)
 
 // ------------------------------------------------------------------ resistor
 
-resistor::resistor(const std::string& name, network& net, double ohms)
+resistor::resistor(const std::string& name, network& net, pin a, pin b, double ohms)
     : component(name, net), p("p", *this, nature::electrical),
       n("n", *this, nature::electrical), ohms_(ohms) {
     util::require(ohms > 0.0, this->name(), "resistance must be positive");
-}
-
-resistor::resistor(const std::string& name, network& net, node a, node b, double ohms)
-    : resistor(name, net, ohms) {
     p.bind(a);
     n.bind(b);
 }
@@ -55,14 +51,10 @@ void resistor::set_value(double ohms) {
 
 // ----------------------------------------------------------------- capacitor
 
-capacitor::capacitor(const std::string& name, network& net, double farads)
+capacitor::capacitor(const std::string& name, network& net, pin a, pin b, double farads)
     : component(name, net), p("p", *this, nature::electrical),
       n("n", *this, nature::electrical), farads_(farads) {
     util::require(farads > 0.0, this->name(), "capacitance must be positive");
-}
-
-capacitor::capacitor(const std::string& name, network& net, node a, node b, double farads)
-    : capacitor(name, net, farads) {
     p.bind(a);
     n.bind(b);
 }
@@ -82,14 +74,10 @@ void capacitor::set_value(double farads) {
 
 // ------------------------------------------------------------------ inductor
 
-inductor::inductor(const std::string& name, network& net, double henries)
+inductor::inductor(const std::string& name, network& net, pin a, pin b, double henries)
     : component(name, net), p("p", *this, nature::electrical),
       n("n", *this, nature::electrical), henries_(henries) {
     util::require(henries > 0.0, this->name(), "inductance must be positive");
-}
-
-inductor::inductor(const std::string& name, network& net, node a, node b, double henries)
-    : inductor(name, net, henries) {
     p.bind(a);
     n.bind(b);
 }
@@ -114,17 +102,14 @@ void inductor::set_value(double henries) {
 
 // ---------------------------------------------------------------------- vcvs
 
-vcvs::vcvs(const std::string& name, network& net, double gain)
+vcvs::vcvs(const std::string& name, network& net, pin cp_pin, pin cn_pin,
+           pin p_pin, pin n_pin, double gain)
     : component(name, net), cp("cp", *this), cn("cn", *this), p("p", *this),
-      n("n", *this), gain_(gain) {}
-
-vcvs::vcvs(const std::string& name, network& net, node cp_node, node cn_node,
-           node p_node, node n_node, double gain)
-    : vcvs(name, net, gain) {
-    cp.bind(cp_node);
-    cn.bind(cn_node);
-    p.bind(p_node);
-    n.bind(n_node);
+      n("n", *this), gain_(gain) {
+    cp.bind(cp_pin);
+    cn.bind(cn_pin);
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void vcvs::stamp(network& net) {
@@ -147,17 +132,14 @@ void vcvs::set_gain(double gain) {
 
 // ---------------------------------------------------------------------- vccs
 
-vccs::vccs(const std::string& name, network& net, double gm)
+vccs::vccs(const std::string& name, network& net, pin cp_pin, pin cn_pin,
+           pin p_pin, pin n_pin, double gm)
     : component(name, net), cp("cp", *this), cn("cn", *this), p("p", *this),
-      n("n", *this), gm_(gm) {}
-
-vccs::vccs(const std::string& name, network& net, node cp_node, node cn_node,
-           node p_node, node n_node, double gm)
-    : vccs(name, net, gm) {
-    cp.bind(cp_node);
-    cn.bind(cn_node);
-    p.bind(p_node);
-    n.bind(n_node);
+      n("n", *this), gm_(gm) {
+    cp.bind(cp_pin);
+    cn.bind(cn_pin);
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void vccs::stamp(network& net) {
@@ -178,14 +160,11 @@ void vccs::set_gm(double gm) {
 
 // ---------------------------------------------------------------------- ccvs
 
-ccvs::ccvs(const std::string& name, network& net, const component& control, double rm)
-    : component(name, net), p("p", *this), n("n", *this), control_(&control), rm_(rm) {}
-
-ccvs::ccvs(const std::string& name, network& net, const component& control, node p_node,
-           node n_node, double rm)
-    : ccvs(name, net, control, rm) {
-    p.bind(p_node);
-    n.bind(n_node);
+ccvs::ccvs(const std::string& name, network& net, const component& control, pin p_pin,
+           pin n_pin, double rm)
+    : component(name, net), p("p", *this), n("n", *this), control_(&control), rm_(rm) {
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void ccvs::stamp(network& net) {
@@ -200,15 +179,12 @@ void ccvs::stamp(network& net) {
 
 // ---------------------------------------------------------------------- cccs
 
-cccs::cccs(const std::string& name, network& net, const component& control, double beta)
+cccs::cccs(const std::string& name, network& net, const component& control, pin p_pin,
+           pin n_pin, double beta)
     : component(name, net), p("p", *this), n("n", *this), control_(&control),
-      beta_(beta) {}
-
-cccs::cccs(const std::string& name, network& net, const component& control, node p_node,
-           node n_node, double beta)
-    : cccs(name, net, control, beta) {
-    p.bind(p_node);
-    n.bind(n_node);
+      beta_(beta) {
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void cccs::stamp(network& net) {
@@ -220,20 +196,16 @@ void cccs::stamp(network& net) {
 
 // --------------------------------------------------------- ideal transformer
 
-ideal_transformer::ideal_transformer(const std::string& name, network& net, double ratio)
+ideal_transformer::ideal_transformer(const std::string& name, network& net, pin p1_pin,
+                                     pin n1_pin, pin p2_pin, pin n2_pin,
+                                     double ratio)
     : component(name, net), p1("p1", *this), n1("n1", *this), p2("p2", *this),
       n2("n2", *this), ratio_(ratio) {
     util::require(ratio != 0.0, this->name(), "transformer ratio must be nonzero");
-}
-
-ideal_transformer::ideal_transformer(const std::string& name, network& net, node p1_node,
-                                     node n1_node, node p2_node, node n2_node,
-                                     double ratio)
-    : ideal_transformer(name, net, ratio) {
-    p1.bind(p1_node);
-    n1.bind(n1_node);
-    p2.bind(p2_node);
-    n2.bind(n2_node);
+    p1.bind(p1_pin);
+    n1.bind(n1_pin);
+    p2.bind(p2_pin);
+    n2.bind(n2_pin);
 }
 
 void ideal_transformer::stamp(network& net) {
@@ -252,17 +224,12 @@ void ideal_transformer::stamp(network& net) {
 
 // ------------------------------------------------------------------- rswitch
 
-rswitch::rswitch(const std::string& name, network& net, double r_on, double r_off,
-                 bool closed)
+rswitch::rswitch(const std::string& name, network& net, pin a, pin b, double r_on,
+                 double r_off, bool closed)
     : component(name, net), p("p", *this), n("n", *this), r_on_(r_on), r_off_(r_off),
       closed_(closed) {
     util::require(r_on > 0.0 && r_off > r_on, this->name(),
                   "switch requires 0 < r_on < r_off");
-}
-
-rswitch::rswitch(const std::string& name, network& net, node a, node b, double r_on,
-                 double r_off, bool closed)
-    : rswitch(name, net, r_on, r_off, closed) {
     p.bind(a);
     n.bind(b);
 }
@@ -283,16 +250,13 @@ void rswitch::set_state(bool closed) {
 
 // --------------------------------------------------------------- ideal_opamp
 
-ideal_opamp::ideal_opamp(const std::string& name, network& net)
+ideal_opamp::ideal_opamp(const std::string& name, network& net, pin inp_pin,
+                         pin inn_pin, pin out_pin)
     : component(name, net), inp("inp", *this, nature::electrical),
-      inn("inn", *this, nature::electrical), out("out", *this, nature::electrical) {}
-
-ideal_opamp::ideal_opamp(const std::string& name, network& net, node inp_node,
-                         node inn_node, node out_node)
-    : ideal_opamp(name, net) {
-    inp.bind(inp_node);
-    inn.bind(inn_node);
-    out.bind(out_node);
+      inn("inn", *this, nature::electrical), out("out", *this, nature::electrical) {
+    inp.bind(inp_pin);
+    inn.bind(inn_pin);
+    out.bind(out_pin);
 }
 
 void ideal_opamp::stamp(network& net) {
@@ -306,19 +270,15 @@ void ideal_opamp::stamp(network& net) {
 
 // ------------------------------------------------------------------- gyrator
 
-gyrator::gyrator(const std::string& name, network& net, double g)
+gyrator::gyrator(const std::string& name, network& net, pin p1_pin, pin n1_pin,
+                 pin p2_pin, pin n2_pin, double g)
     : component(name, net), p1("p1", *this), n1("n1", *this), p2("p2", *this),
       n2("n2", *this), g_(g) {
     util::require(g != 0.0, this->name(), "gyration conductance must be nonzero");
-}
-
-gyrator::gyrator(const std::string& name, network& net, node p1_node, node n1_node,
-                 node p2_node, node n2_node, double g)
-    : gyrator(name, net, g) {
-    p1.bind(p1_node);
-    n1.bind(n1_node);
-    p2.bind(p2_node);
-    n2.bind(n2_node);
+    p1.bind(p1_pin);
+    n1.bind(n1_pin);
+    p2.bind(p2_pin);
+    n2.bind(n2_pin);
 }
 
 void gyrator::stamp(network& net) {
@@ -340,11 +300,8 @@ void gyrator::stamp(network& net) {
 
 // ------------------------------------------------------------------- ammeter
 
-ammeter::ammeter(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this) {}
-
-ammeter::ammeter(const std::string& name, network& net, node a, node b)
-    : ammeter(name, net) {
+ammeter::ammeter(const std::string& name, network& net, pin a, pin b)
+    : component(name, net), p("p", *this), n("n", *this) {
     p.bind(a);
     n.bind(b);
 }

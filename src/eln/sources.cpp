@@ -9,15 +9,12 @@ namespace sca::eln {
 
 // ------------------------------------------------------------------- vsource
 
-vsource::vsource(const std::string& name, network& net, waveform w)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical), wave_(std::move(w)) {}
-
-vsource::vsource(const std::string& name, network& net, node p_node, node n_node,
+vsource::vsource(const std::string& name, network& net, pin p_pin, pin n_pin,
                  waveform w)
-    : vsource(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
+    : component(name, net), p("p", *this, nature::electrical),
+      n("n", *this, nature::electrical), wave_(std::move(w)) {
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void vsource::stamp(network& net) {
@@ -52,15 +49,12 @@ void vsource::set_noise_psd(std::function<double(double)> psd) {
 
 // ------------------------------------------------------------------- isource
 
-isource::isource(const std::string& name, network& net, waveform w)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical), wave_(std::move(w)) {}
-
-isource::isource(const std::string& name, network& net, node p_node, node n_node,
+isource::isource(const std::string& name, network& net, pin p_pin, pin n_pin,
                  waveform w)
-    : isource(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
+    : component(name, net), p("p", *this, nature::electrical),
+      n("n", *this, nature::electrical), wave_(std::move(w)) {
+    p.bind(p_pin);
+    n.bind(n_pin);
 }
 
 void isource::stamp(network& net) {

@@ -20,8 +20,7 @@ class vsource : public component {
 public:
     terminal p, n;
 
-    vsource(const std::string& name, network& net, waveform w);
-    vsource(const std::string& name, network& net, node p, node n, waveform w);
+    vsource(const std::string& name, network& net, pin p, pin n, waveform w);
 
     void stamp(network& net) override;
 
@@ -44,8 +43,7 @@ class isource : public component {
 public:
     terminal p, n;
 
-    isource(const std::string& name, network& net, waveform w);
-    isource(const std::string& name, network& net, node p, node n, waveform w);
+    isource(const std::string& name, network& net, pin p, pin n, waveform w);
 
     void stamp(network& net) override;
     void set_ac(double magnitude, double phase_deg = 0.0);

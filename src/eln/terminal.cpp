@@ -36,24 +36,22 @@ void terminal::check_node(const node& n) const {
     if (expected_) network::check_nature(n, *expected_, name());
 }
 
-void terminal::bind(const node& n) {
+void terminal::bind(const pin& to) {
     util::require(!is_bound(), name(),
                   "ELN terminal is already bound; a terminal binds exactly one "
                   "node or parent terminal");
-    check_node(n);
-    node_ = n;
-    has_node_ = true;
-}
-
-void terminal::bind(terminal& t) {
-    util::require(!is_bound(), name(),
-                  "ELN terminal is already bound; a terminal binds exactly one "
-                  "node or parent terminal");
+    if (to.forward_ == nullptr) {
+        check_node(to.node_);
+        node_ = to.node_;
+        has_node_ = true;
+        return;
+    }
+    const terminal& t = *to.forward_;
     util::require(&t != this, name(), "ELN terminal cannot forward to itself");
     util::require(t.net_ == net_, name(),
                   "terminal belongs to a different network (" + t.net_->name() +
                       ") than this terminal's owner (" + net_->name() + ")");
-    forward_ = &t;
+    forward_ = to.forward_;
 }
 
 void terminal::resolve() {

@@ -1,21 +1,21 @@
 // Bindable conservative-law ports (the structural face of the ELN view).
 //
 // A terminal is the named connection point of a component or subcircuit.
-// It binds either directly to a network node
+// Components take their pins in their one constructor; each pin is either
+// a node of the owning network (bound at once)
 //
-//   eln::resistor r("r", net, 1e3);
-//   r.p(vin);
-//   r.n(vout);
+//   eln::resistor r("r", net, vin, vout, 1e3);
 //
-// or hierarchically to a terminal of the enclosing subcircuit, so composite
-// blocks expose their pins without knowing the outer netlist:
+// or a terminal of the enclosing subcircuit (a hierarchical forward), so
+// composite blocks expose their pins without knowing the outer netlist:
 //
 //   struct divider : eln::subcircuit {
 //       eln::terminal in, out, ref;
-//       ...
-//       top.p(in);   // component terminal forwards to the subcircuit pin
+//       eln::resistor top;
+//       ...  top("top", net, in, out, 1e3) ...
 //   };
 //
+// A subcircuit's own pins bind after construction (`d.in(vin)`).
 // Forwarding chains are resolved at elaboration; an unbound chain is an
 // elaboration error reporting the terminal's full hierarchical path.
 #ifndef SCA_ELN_TERMINAL_HPP
@@ -32,11 +32,26 @@ namespace sca::eln {
 class component;
 class network;
 class subcircuit;
+class terminal;
+
+/// What a terminal binds to: a node of the owning network, or another
+/// terminal (typically a subcircuit pin) resolved at elaboration.  Built
+/// implicitly from either, so a component's pin arguments take both.
+class pin {
+public:
+    pin(const node& n) noexcept : node_(n) {}    // NOLINT(google-explicit-constructor)
+    pin(terminal& t) noexcept : forward_(&t) {}  // NOLINT(google-explicit-constructor)
+
+private:
+    node node_;
+    terminal* forward_ = nullptr;
+    friend class terminal;
+};
 
 class terminal : public de::object {
 public:
     /// Terminal owned by a component; with `expected`, node bindings are
-    /// nature-checked (matching the checks of the legacy node constructors).
+    /// nature-checked.
     terminal(std::string name, component& owner);
     terminal(std::string name, component& owner, nature expected);
     /// Exposed pin of a subcircuit.
@@ -47,12 +62,10 @@ public:
 
     [[nodiscard]] const char* kind() const noexcept override { return "eln_terminal"; }
 
-    /// Bind directly to a node of the owning network.
-    void bind(const node& n);
-    /// Bind hierarchically to another terminal (typically a subcircuit pin).
-    void bind(terminal& t);
-    void operator()(const node& n) { bind(n); }
-    void operator()(terminal& t) { bind(t); }
+    /// Bind to a node of the owning network, or hierarchically to another
+    /// terminal (typically a subcircuit pin).  A terminal binds exactly once.
+    void bind(const pin& to);
+    void operator()(const pin& to) { bind(to); }
 
     [[nodiscard]] bool is_bound() const noexcept {
         return has_node_ || forward_ != nullptr;

@@ -541,6 +541,8 @@ public:
         const auto unz = static_cast<std::size_t>(w[1]);
         const auto lnz = static_cast<std::size_t>(w[2]);
         if (n != a.size()) return false;
+        // Bound the counts first: their sum must not wrap past w.size().
+        if (unz > w.size() || lnz > w.size()) return false;
         if (w.size() != 3 + 3 * n + unz + lnz) return false;
         std::size_t at = 3;
         std::vector<std::size_t> perm(n), u_ptr(n + 1, 0), l_ptr(n + 1, 0);

@@ -190,11 +190,13 @@ void save_pattern(util::byte_writer& w, const num::sparse_matrix_d& m) {
 }
 
 /// Rebuild a matrix with the saved sparsity pattern as explicit zeros — the
-/// grown pattern history the Newton LU's frozen pivot order depends on.
-num::sparse_matrix_d restore_pattern(util::byte_reader& r) {
-    const auto n = static_cast<std::size_t>(r.u64());
-    num::sparse_matrix_d m(n);
-    for (std::size_t row = 0; row < n; ++row) {
+/// grown pattern history the Newton LU's frozen pivot order depends on.  The
+/// saved dimension must be the rebuilt system's before anything is sized.
+num::sparse_matrix_d restore_pattern(util::byte_reader& r, std::size_t size) {
+    util::require(r.u64() == size, "snapshot",
+                  "nonlinear solver: matrix size differs from rebuilt system");
+    num::sparse_matrix_d m(size);
+    for (std::size_t row = 0; row < size; ++row) {
         const auto count = static_cast<std::size_t>(r.u64());
         for (std::size_t k = 0; k < count; ++k) {
             m.add(row, static_cast<std::size_t>(r.u64()), 0.0);
@@ -245,12 +247,8 @@ void nonlinear_dae_solver::restore_state(util::byte_reader& r) {
     mats_valid_ = r.boolean();
     stamp_generation_ = r.u64();
     if (mats_valid_) {
-        iter_mat_ = restore_pattern(r);
-        newton_mat_ = restore_pattern(r);
-        util::require(iter_mat_.size() == sys_->size() &&
-                          newton_mat_.size() == sys_->size(),
-                      "snapshot",
-                      "nonlinear solver: matrix size differs from rebuilt system");
+        iter_mat_ = restore_pattern(r, sys_->size());
+        newton_mat_ = restore_pattern(r, sys_->size());
     }
     const bool has_symbolic = r.boolean();
     if (has_symbolic) {

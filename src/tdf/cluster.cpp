@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <numeric>
 
@@ -874,6 +875,9 @@ void probe_tap::save_state(util::byte_writer& w) const {
 
 void probe_tap::restore_state(util::byte_reader& r) {
     next_row_ = r.u64();
+    util::require(next_row_ <= static_cast<std::uint64_t>(
+                                   std::numeric_limits<std::int64_t>::max() / period_fs_),
+                  "snapshot", "probe tap row in snapshot lies beyond the time range");
     row_fs_ = static_cast<std::int64_t>(next_row_) * period_fs_;
     last_ = r.f64();
     wake_ = de::time::from_fs(r.i64());

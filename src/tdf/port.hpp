@@ -252,8 +252,11 @@ public:
         util::require(r.u8() == token_type_tag(), "snapshot",
                       "signal '" + name() + "': token type differs from snapshot");
         const auto cap = static_cast<std::size_t>(r.u64());
-        util::require(cap > 0, "snapshot",
-                      "signal '" + name() + "': zero capacity in snapshot");
+        // Every token encodes to at least one byte: bound the capacity by
+        // the payload before sizing the ring with it.
+        util::require(cap > 0 && cap <= r.remaining(), "snapshot",
+                      "signal '" + name() + "': capacity " + std::to_string(cap) +
+                          " in snapshot is zero or exceeds the payload");
         buffer_.assign(cap, initial_);
         for (std::size_t i = 0; i < cap; ++i) buffer_[i] = read_value(r);
         initial_ = read_value(r);

@@ -213,9 +213,7 @@ TEST(hierarchy, destroyed_components_deregister_their_terminals) {
     {
         // A component that dies before elaboration must not leave dangling
         // terminal registrations behind (exercised under ASan in CI).
-        eln::resistor scratch("scratch", net, 1e3);
-        scratch.p(vin);
-        scratch.n(vout);
+        eln::resistor scratch("scratch", net, vin, vout, 1e3);
     }
     eln::vsource vs("vs", net, vin, gnd, eln::waveform::dc(1.0));
     eln::resistor r("r", net, vin, vout, 1e3);
@@ -293,9 +291,46 @@ TEST(hierarchy, double_bound_terminal_is_rejected) {
     eln::network net("net");
     auto a = net.create_node("a");
     auto b = net.create_node("b");
-    eln::resistor r("r", net, 1e3);
-    r.p(a);
-    EXPECT_THROW(r.p(b), sca::util::error);
+    eln::resistor r("r", net, a, net.ground(), 1e3);
+    try {
+        r.p(b);
+        FAIL() << "expected a double-binding diagnostic";
+    } catch (const sca::util::error& e) {
+        EXPECT_NE(std::string(e.what()).find("r.p"), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("already bound"), std::string::npos);
+    }
+}
+
+TEST(hierarchy, pins_of_another_network_are_rejected) {
+    de::simulation_context ctx;
+    eln::network net("net");
+    eln::network other("other");
+    auto gnd = net.ground();
+    auto foreign = other.create_node("x");
+    eln::rc_lowpass foreign_rc("foreign_rc", other, 1e3, 1e-9);
+    auto expect_rejected = [](auto&& build, const char* diagnostic) {
+        try {
+            build();
+            FAIL() << "expected: " << diagnostic;
+        } catch (const sca::util::error& e) {
+            EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos)
+                << e.what();
+        }
+    };
+    expect_rejected([&] { eln::resistor r("r1", net, foreign, gnd, 1e3); },
+                    "node belongs to a different network");
+    expect_rejected([&] { eln::resistor r("r2", net, gnd, foreign_rc.in, 1e3); },
+                    "terminal belongs to a different network");
+    // The failed constructions left no terminal behind: the network still
+    // elaborates and runs with a component of its own.
+    auto v = net.create_node("v");
+    eln::resistor r("r", net, v, gnd, 1e3);
+    foreign_rc.in(foreign);
+    foreign_rc.out(other.create_node("y"));
+    foreign_rc.ref(other.ground());
+    net.set_timestep(1.0, de::time_unit::us);
+    other.set_timestep(1.0, de::time_unit::us);
+    EXPECT_NO_THROW(ctx.run(5_us));
 }
 
 TEST(hierarchy, duplicate_node_names_are_rejected) {
@@ -363,9 +398,9 @@ TEST(hierarchy, resistive_divider_divides) {
 
 namespace {
 
-/// The quickstart topology, built flat (manual signals, node-constructed
-/// components) or hierarchically (subcircuit + terminals + connect).  Both
-/// must produce byte-identical probes and measurements.
+/// The quickstart topology, built flat (manual signals, a separate R and C)
+/// or hierarchically (subcircuit + terminals + connect).  Both must produce
+/// byte-identical probes and measurements.
 core::scenario define_quickstart_like(const std::string& name, bool hierarchical) {
     return core::scenario::define(
         name, core::params{{"f_sine", 1e3}, {"r", 1e3}, {"c", 100e-9}},
@@ -389,17 +424,13 @@ core::scenario define_quickstart_like(const std::string& name, bool hierarchical
             };
 
             if (hierarchical) {
-                auto& drive = tb.make<eln::tdf_vsource>("drive", net);
-                drive.p(vin);
-                drive.n(gnd);
+                auto& drive = tb.make<eln::tdf_vsource>("drive", net, vin, gnd);
                 auto& rc =
                     tb.make<eln::rc_lowpass>("rc", net, p.number("r"), p.number("c"));
                 rc.in(vin);
                 rc.out(vout);
                 rc.ref(gnd);
-                auto& probe = tb.make<eln::tdf_vsink>("probe", net);
-                probe.p(vout);
-                probe.n(gnd);
+                auto& probe = tb.make<eln::tdf_vsink>("probe", net, vout, gnd);
                 auto& bsink = tb.make<bool_sink>("bsink");
                 auto& s_sine = connect(src.out, drive.inp);
                 connect(probe.outp, cmp.in);

@@ -157,4 +157,6 @@ TEST(multidomain, nature_checks_guard_connections) {
     EXPECT_THROW(eln::thermal_capacitance("c", net, electrical, 1.0), sca::util::error);
     EXPECT_THROW(eln::resistor("r", net, electrical, thermal_node, 1.0),
                  sca::util::error);
+    auto shaft = net.create_node("w", eln::nature::mechanical_rotational);
+    EXPECT_THROW(eln::resistor("r", net, shaft, electrical, 1.0), sca::util::error);
 }

@@ -7,8 +7,8 @@
 // backward Euler and the trapezoidal rule.  The cluster only reads DE, so it
 // batches periods between DE events and its solvers serve most switch
 // events from the factor cache.  Every model must give:
-//   1. byte-identical traces with period batching off (max batch 1), and
-//      when run in slices;
+//   1. byte-identical traces with period batching off (max batch 1), with
+//      block execution off, and when run in slices;
 //   2. after every step, x bitwise equal to a step computed here the plain
 //      way (sparse multiply_into + solve_into against the solver's factors);
 //   3. numeric factors bitwise equal to a fresh refactor() of the iteration
@@ -16,6 +16,8 @@
 //   4. byte-identical continuation after a snapshot at a random instant.
 // Probed through the testbench at, below and above the cluster period, the
 // same models must record byte-identical traces batched and per-period.
+// Eight of them also run as a run_set on worker threads and on worker
+// processes, with byte-identical waveforms, result CSV and metrics CSV.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +25,12 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/run_set.hpp"
 #include "core/scenario.hpp"
 #include "core/snapshot.hpp"
 #include "eln/converter.hpp"
@@ -412,20 +416,26 @@ run_record record_of(core::testbench& tb) {
     return rec;
 }
 
-core::scenario scenario_for(std::uint64_t seed) {
-    const std::string name = "switched_fast_path_" + std::to_string(seed);
+/// The seed's model as a registered scenario; with `sample_fs` > 0 it also
+/// probes (see build_model), so run_set results carry its waveforms.
+core::scenario scenario_for(std::uint64_t seed, std::int64_t sample_fs = 0) {
+    const std::string name =
+        "switched_fast_path_" + std::to_string(seed) + (sample_fs > 0 ? "_probed" : "");
     // The spec outlives every bench built from it (scenario registry).
     static std::vector<std::unique_ptr<model_spec>> specs;
     specs.push_back(std::make_unique<model_spec>(make_spec(seed)));
     const model_spec* spec = specs.back().get();
-    return core::scenario::define(
-        name, [spec](core::testbench& tb, const core::params&) { build_model(tb, *spec); });
+    return core::scenario::define(name, [spec, sample_fs](core::testbench& tb,
+                                                          const core::params&) {
+        build_model(tb, *spec, sample_fs);
+    });
 }
 
-run_record run_whole(const core::scenario& sc, std::uint64_t max_batch,
+run_record run_whole(const core::scenario& sc, std::uint64_t max_batch, bool block,
                      const std::string& what) {
     auto tb = sc.build();
     tdf::registry::of(tb->context()).set_default_max_batch_periods(max_batch);
+    tdf::registry::of(tb->context()).set_default_block_execution(block);
     tb->run();
     expect_oracles_clean(*tb, what);
     return record_of(*tb);
@@ -458,12 +468,16 @@ TEST_P(switched_fast_path, batching_slicing_and_snapshots_are_invisible) {
     const core::scenario sc = scenario_for(seed);
     const std::string tag = "seed " + std::to_string(seed);
 
-    const run_record batched = run_whole(sc, tdf::cluster::k_default_max_batch_periods,
-                                         tag + " batched");
-    const run_record per_period = run_whole(sc, 1, tag + " per-period");
+    const std::uint64_t batch = tdf::cluster::k_default_max_batch_periods;
+    const run_record batched = run_whole(sc, batch, true, tag + " batched");
+    const run_record per_period = run_whole(sc, 1, true, tag + " per-period");
     expect_same(per_period, batched, tag + ": batched vs per-period");
     // The cluster reads DE only, so it batches: fewer kernel interactions.
     EXPECT_LT(batched.timed_notifications, per_period.timed_notifications) << tag;
+    expect_same(run_whole(sc, batch, false, tag + " block off"), batched,
+                tag + ": block execution off vs on");
+    expect_same(run_whole(sc, 1, false, tag + " per-period block off"), batched,
+                tag + ": per-period block execution off vs batched on");
     expect_same(run_sliced(sc, spec, tag + " sliced"), batched, tag + ": sliced vs whole");
 
     // 4. Snapshot at a slice boundary, resume in a fresh context, continue.
@@ -532,9 +546,50 @@ TEST(switched_fast_path_suite, the_factor_cache_is_exercised) {
     std::uint64_t hits = 0;
     for (std::uint64_t seed = 1; seed < 5; ++seed) {
         hits += run_whole(scenario_for(100 + seed), tdf::cluster::k_default_max_batch_periods,
-                          "hits").cache_hits;
+                          true, "hits").cache_hits;
     }
     EXPECT_GT(hits, 0U);
+}
+
+TEST(switched_fast_path_suite, run_set_backends_agree_byte_for_byte) {
+    // Eight of the seeded models, probed at the cluster period, run as a
+    // two-point run_set on two worker threads and on two worker processes:
+    // waveforms, result CSV and metrics CSV must be the same bytes.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const std::string tag = "seed " + std::to_string(seed);
+        const core::scenario sc = scenario_for(seed, make_spec(seed).period_us * k_us);
+        const auto table = [&sc](core::run_backend backend) {
+            return core::run_set(sc)
+                .add_point(core::params{})
+                .add_point(core::params{})
+                .set_workers(2)
+                .set_backend(backend)
+                .run_all();
+        };
+        const core::result_table threads = table(core::run_backend::in_thread);
+        const core::result_table procs = table(core::run_backend::multiprocess);
+        ASSERT_EQ(threads.failed_count(), 0U) << tag;
+        ASSERT_EQ(procs.failed_count(), 0U) << tag;
+        ASSERT_EQ(threads.size(), procs.size()) << tag;
+        for (std::size_t k = 0; k < threads.size(); ++k) {
+            EXPECT_TRUE(same_bits(threads[k].times, procs[k].times)) << tag << " run " << k;
+            ASSERT_EQ(threads[k].waveforms.size(), procs[k].waveforms.size()) << tag;
+            ASSERT_GE(threads[k].waveforms.size(), 2U) << tag;
+            for (std::size_t w = 0; w < threads[k].waveforms.size(); ++w) {
+                EXPECT_TRUE(same_bits(threads[k].waveforms[w], procs[k].waveforms[w]))
+                    << tag << " run " << k << " probe " << threads[k].probe_names[w];
+            }
+        }
+        std::ostringstream csv_threads, csv_procs, metrics_threads, metrics_procs;
+        threads.write_csv(csv_threads);
+        procs.write_csv(csv_procs);
+        threads.write_metrics_csv(metrics_threads);
+        procs.write_metrics_csv(metrics_procs);
+        EXPECT_EQ(csv_threads.str(), csv_procs.str()) << tag;
+        EXPECT_EQ(metrics_threads.str(), metrics_procs.str()) << tag;
+        EXPECT_NE(metrics_threads.str().find("kernel.timed_notifications"), std::string::npos)
+            << tag;
+    }
 }
 
 // ------------------------------------------------- solver-level invariants --
