@@ -99,8 +99,7 @@ class vccs : public component {
 public:
     terminal cp, cn, p, n;
 
-    vccs(const std::string& name, network& net, pin cp, pin cn, pin p, pin n,
-         double gm);
+    vccs(const std::string& name, network& net, pin cp, pin cn, pin p, pin n, double gm);
     void stamp(network& net) override;
     void set_gm(double gm);
 

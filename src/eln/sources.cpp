@@ -9,8 +9,7 @@ namespace sca::eln {
 
 // ------------------------------------------------------------------- vsource
 
-vsource::vsource(const std::string& name, network& net, pin p_pin, pin n_pin,
-                 waveform w)
+vsource::vsource(const std::string& name, network& net, pin p_pin, pin n_pin, waveform w)
     : component(name, net), p("p", *this, nature::electrical),
       n("n", *this, nature::electrical), wave_(std::move(w)) {
     p.bind(p_pin);
@@ -49,8 +48,7 @@ void vsource::set_noise_psd(std::function<double(double)> psd) {
 
 // ------------------------------------------------------------------- isource
 
-isource::isource(const std::string& name, network& net, pin p_pin, pin n_pin,
-                 waveform w)
+isource::isource(const std::string& name, network& net, pin p_pin, pin n_pin, waveform w)
     : component(name, net), p("p", *this, nature::electrical),
       n("n", *this, nature::electrical), wave_(std::move(w)) {
     p.bind(p_pin);
