@@ -135,23 +135,29 @@ void write_event_key(util::byte_writer& w, const event_namespace& ns, const de::
     w.u64(o->second);
 }
 
+/// The rebuilt model's event for a key: kind 1 is the timeout event of
+/// process `index`, kind 0 occurrence `index` of the events named `name`.
+de::event& find_event(const event_namespace& ns,
+                      const std::vector<de::method_process*>& procs, std::uint8_t kind,
+                      const std::string& name, std::uint64_t index) {
+    if (kind == 1) {
+        util::require(index < procs.size(), "snapshot",
+                      "timeout-event process index out of range");
+        return procs[index]->ensure_timeout_event();
+    }
+    auto it = ns.by_name.find(name);
+    util::require(it != ns.by_name.end() && index < it->second.size(), "snapshot",
+                  "the rebuilt model has no event '" + name + "' (occurrence " +
+                      std::to_string(index) + ")");
+    return *it->second[index];
+}
+
 de::event& read_event_key(util::byte_reader& r, const event_namespace& ns,
                           const std::vector<de::method_process*>& procs) {
     const std::uint8_t kind = r.u8();
-    if (kind == 1) {
-        const std::uint64_t idx = r.u64();
-        util::require(idx < procs.size(), "snapshot",
-                      "timeout-event process index out of range");
-        return procs[idx]->ensure_timeout_event();
-    }
-    util::require(kind == 0, "snapshot", "unknown event key kind");
-    const std::string name = r.str();
-    const std::uint64_t occurrence = r.u64();
-    auto it = ns.by_name.find(name);
-    util::require(it != ns.by_name.end() && occurrence < it->second.size(), "snapshot",
-                  "the rebuilt model has no event '" + name + "' (occurrence " +
-                      std::to_string(occurrence) + ")");
-    return *it->second[occurrence];
+    util::require(kind <= 1, "snapshot", "unknown event key kind");
+    const std::string name = kind == 0 ? r.str() : std::string();
+    return find_event(ns, procs, kind, name, r.u64());
 }
 
 // ------------------------------------------------------------------- save --
@@ -370,19 +376,6 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
         if (saved[i].has_timeout) (void)procs[i]->ensure_timeout_event();
     }
     const event_namespace ns = build_event_namespace(ctx);
-    auto resolve = [&](std::uint8_t kind, const std::string& name,
-                       std::uint64_t index) -> de::event& {
-        if (kind == 1) {
-            util::require(index < procs.size(), "snapshot",
-                          "timeout-event process index out of range");
-            return procs[index]->ensure_timeout_event();
-        }
-        auto it = ns.by_name.find(name);
-        util::require(it != ns.by_name.end() && index < it->second.size(), "snapshot",
-                      "the rebuilt model has no event '" + name + "' (occurrence " +
-                          std::to_string(index) + ")");
-        return *it->second[index];
-    };
 
     // --- events -------------------------------------------------------------
     // Subscriptions are staged, not linked: an event's subscriber list and
@@ -411,7 +404,7 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
     std::vector<link> mirrors;  // process order, then each wait list's order
     for (std::size_t i = 0; i < procs.size(); ++i) {
         for (const auto& [kind, key] : saved[i].keys) {
-            mirrors.emplace_back(&resolve(kind, key.first, key.second), i);
+            mirrors.emplace_back(&find_event(ns, procs, kind, key.first, key.second), i);
         }
     }
     const auto by_address = [](const link& a, const link& b) {
