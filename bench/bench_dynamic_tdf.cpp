@@ -164,7 +164,7 @@ void receiver_run(benchmark::State& state, bool adaptive, std::uint64_t max_batc
     std::uint64_t recompiles = 0;
     std::uint64_t kernel_notifications = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         burst_source src("src");
         adaptive_frontend fe("fe", adaptive);
         accepting_sink sink("sink");
@@ -173,14 +173,14 @@ void receiver_run(benchmark::State& state, bool adaptive, std::uint64_t max_batc
         fe.in.bind(s1);
         fe.out.bind(s2);
         sink.in.bind(s2);
-        tdf::registry::of(sim.context()).set_default_max_batch_periods(max_batch);
-        sim.run_seconds(k_run_seconds);
+        tdf::registry::of(tb.context()).set_default_max_batch_periods(max_batch);
+        tb.run(de::time::from_seconds(k_run_seconds));
         benchmark::DoNotOptimize(sink.last);
         fe_firings = fe.activation_count();
-        const auto& c = *tdf::registry::of(sim.context()).clusters().at(0);
+        const auto& c = *tdf::registry::of(tb.context()).clusters().at(0);
         reschedules = c.reschedule_count();
         recompiles = c.recompile_count();
-        kernel_notifications = sim.context().sched().timed_notification_count();
+        kernel_notifications = tb.context().sched().timed_notification_count();
     }
     // End-to-end coverage rate: both models sweep the same 100 ms of input
     // signal; the static one needs 8x the samples for the quiet 90%.
@@ -215,7 +215,7 @@ void reschedule_cost_cached(benchmark::State& state) {
     std::uint64_t reschedules = 0;
     std::uint64_t recompiles = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         accepting_src src("src");
         toggler tog("tog");
         accepting_sink sink("sink");
@@ -224,8 +224,8 @@ void reschedule_cost_cached(benchmark::State& state) {
         tog.in.bind(s1);
         tog.out.bind(s2);
         sink.in.bind(s2);
-        sim.run_seconds(20e-3);
-        const auto& c = *tdf::registry::of(sim.context()).clusters().at(0);
+        tb.run(de::time::from_seconds(20e-3));
+        const auto& c = *tdf::registry::of(tb.context()).clusters().at(0);
         reschedules = c.reschedule_count();
         recompiles = c.recompile_count();
         benchmark::DoNotOptimize(sink.last);
@@ -244,7 +244,7 @@ void reschedule_cost_cold(benchmark::State& state) {
     std::uint64_t reschedules = 0;
     std::uint64_t recompiles = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         accepting_src src("src");
         rate_cycler cyc("cyc", n);
         accepting_sink sink("sink");
@@ -253,8 +253,8 @@ void reschedule_cost_cold(benchmark::State& state) {
         cyc.in.bind(s1);
         cyc.out.bind(s2);
         sink.in.bind(s2);
-        sim.run_seconds(20e-3);
-        const auto& c = *tdf::registry::of(sim.context()).clusters().at(0);
+        tb.run(de::time::from_seconds(20e-3));
+        const auto& c = *tdf::registry::of(tb.context()).clusters().at(0);
         reschedules = c.reschedule_count();
         recompiles = c.recompile_count();
         benchmark::DoNotOptimize(sink.last);

@@ -31,7 +31,7 @@ constexpr de::time k_step = de::time::from_fs(200'000'000);  // 0.2 us -> fs = 5
 
 /// The ladder with an AC-enabled source; returns the network ready to run.
 struct ac_ladder {
-    sca::core::simulation sim;
+    sca::core::testbench tb;
     std::unique_ptr<eln::network> net;
     std::vector<std::unique_ptr<eln::component>> parts;
     eln::node out_node;
@@ -71,7 +71,7 @@ void ac_sweep(benchmark::State& state) {
     double mag_at_probe = 0.0;
     for (auto _ : state) {
         ac_ladder model(false);
-        model.sim.elaborate();
+        model.tb.elaborate();
         sca::core::ac_analysis ac(*model.net);
         const auto pts = ac.sweep(model.out_node.index(),
                                   {100.0, 1e6, points, solver::sweep::scale::logarithmic});
@@ -106,7 +106,7 @@ void transient_fft(benchmark::State& state) {
         out_probe.outp.bind(s2);
         out_rec.in.bind(s2);
 
-        model.sim.run_seconds(3.2e-3);  // 16k samples at 5 MHz
+        model.tb.run(de::time::from_seconds(3.2e-3));  // 16k samples at 5 MHz
 
         const double fs = 1.0 / k_step.to_seconds();
         for (std::size_t i = 0; i < vout.size(); ++i) {

@@ -5,9 +5,10 @@
 // writes BENCH_<name>.json — one object per benchmark run with its name,
 // per-iteration real/cpu time, time unit and iteration count, plus a config
 // block (host CPU, telemetry build flag).  Under repetitions the aggregate
-// rows (median/mean/stddev) are captured too; `median` entries are what CI
-// trend tracking keys on, falling back to the single-run row when a bench
-// does not repeat.  Output directory: $SCA_BENCH_JSON_DIR (default cwd).
+// rows (median/mean/stddev) are captured too; compare `median` entries of
+// two reports from the same host, or the single-run row when a bench does
+// not repeat.  The bench-smoke CI job uploads these files as artifacts.
+// Output directory: $SCA_BENCH_JSON_DIR (default cwd).
 #ifndef SCA_BENCH_JSON_HPP
 #define SCA_BENCH_JSON_HPP
 

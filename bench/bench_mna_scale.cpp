@@ -105,9 +105,9 @@ void dense_steps(benchmark::State& state) {
 void network_transient(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         rc_ladder ladder(n, k_step);
-        sim.run_seconds(1e-4);  // 100 steps
+        tb.run(de::time::from_seconds(1e-4));  // 100 steps
         benchmark::DoNotOptimize(ladder.net->voltage(ladder.out_node));
     }
     state.counters["steps_per_sec"] = benchmark::Counter(

@@ -15,7 +15,6 @@
 #include "bench_util.hpp"
 #include "core/ac_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/transient.hpp"
 #include "eln/converter.hpp"
 #include "lsf/ltf.hpp"
 #include "lsf/node.hpp"
@@ -45,7 +44,7 @@ std::pair<std::vector<double>, std::vector<double>> lowpass_tf() {
 void ltf_view_transient(benchmark::State& state) {
     double final = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         lsf::system sys("sys");
         sys.set_timestep(k_step);
         auto u = sys.create_signal("u");
@@ -53,7 +52,7 @@ void ltf_view_transient(benchmark::State& state) {
         lsf::source src("src", sys, u, lsf::waveform::sine(1.0, k_f0 / 10.0));
         const auto [num, den] = lowpass_tf();
         lsf::ltf_nd f("f", sys, u, y, num, den);
-        sim.run_seconds(k_sim_seconds);
+        tb.run(de::time::from_seconds(k_sim_seconds));
         final = sys.value(y);
     }
     state.counters["final"] = final;
@@ -62,7 +61,7 @@ void ltf_view_transient(benchmark::State& state) {
 void state_space_view_transient(benchmark::State& state) {
     double final = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         lsf::system sys("sys");
         sys.set_timestep(k_step);
         auto u = sys.create_signal("u");
@@ -76,7 +75,7 @@ void state_space_view_transient(benchmark::State& state) {
         b(1, 0) = w0 * w0;
         c(0, 0) = 1.0;
         lsf::state_space ss("ss", sys, {u}, {y}, a, b, c, d);
-        sim.run_seconds(k_sim_seconds);
+        tb.run(de::time::from_seconds(k_sim_seconds));
         final = sys.value(y);
     }
     state.counters["final"] = final;
@@ -85,7 +84,7 @@ void state_space_view_transient(benchmark::State& state) {
 void netlist_view_transient(benchmark::State& state) {
     double final = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         eln::network net("net");
         net.set_timestep(k_step);
         auto gnd = net.ground();
@@ -101,7 +100,7 @@ void netlist_view_transient(benchmark::State& state) {
         eln::resistor res("r", net, n1, n2, r);
         eln::inductor ind("l", net, n2, n3, l);
         eln::capacitor cap("c", net, n3, gnd, c);
-        sim.run_seconds(k_sim_seconds);
+        tb.run(de::time::from_seconds(k_sim_seconds));
         final = net.voltage(n3);
     }
     state.counters["final"] = final;
@@ -111,7 +110,7 @@ void ac_and_noise_analyses(benchmark::State& state) {
     double mag_f0 = 0.0;
     double noise_rms = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         eln::network net("net");
         net.set_timestep(k_step);
         auto gnd = net.ground();
@@ -121,7 +120,7 @@ void ac_and_noise_analyses(benchmark::State& state) {
         vs->set_ac(1.0);
         new eln::resistor("r", net, n1, n2, 1000.0);
         new eln::capacitor("c", net, n2, gnd, 15.9e-9);
-        sim.elaborate();
+        tb.elaborate();
 
         sca::core::ac_analysis ac(net);
         const auto pts = ac.sweep(n2.index(), {100.0, 1e6, 100});
@@ -141,7 +140,7 @@ void ac_and_noise_analyses(benchmark::State& state) {
 void view_equivalence(benchmark::State& state) {
     double max_diff = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        sca::core::testbench tb;
         lsf::system sys("sys");
         sys.set_timestep(k_step);
         auto u = sys.create_signal("u");
@@ -159,13 +158,13 @@ void view_equivalence(benchmark::State& state) {
         c(0, 0) = 1.0;
         lsf::state_space ss("ss", sys, {u}, {y2}, a, b, c, d);
 
-        sca::core::transient_recorder rec(sim, 10_us);
-        rec.add_probe("y1", [&] { return sys.value(y1); });
-        rec.add_probe("y2", [&] { return sys.value(y2); });
-        rec.run(de::time::from_seconds(k_sim_seconds));
+        tb.set_sample_period(10_us);
+        tb.probe("y1", [&] { return sys.value(y1); });
+        tb.probe("y2", [&] { return sys.value(y2); });
+        tb.run(de::time::from_seconds(k_sim_seconds));
 
-        const auto v1 = rec.column(0);
-        const auto v2 = rec.column(1);
+        const auto v1 = tb.waveform("y1");
+        const auto v2 = tb.waveform("y2");
         max_diff = 0.0;
         for (std::size_t i = 0; i < v1.size(); ++i) {
             max_diff = std::max(max_diff, std::abs(v1[i] - v2[i]));

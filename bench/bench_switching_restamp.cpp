@@ -43,7 +43,7 @@ struct switching_counters {
 /// PWM-driven RC ladder with a shunt switch at the output; `incremental`
 /// selects the values-only pipeline or the full-restamp baseline.
 switching_counters run_switched_rc(bool incremental) {
-    sca::core::simulation sim;
+    sca::core::testbench tb;
 
     de::signal<double> duty("duty", 0.5);
     de::signal<bool> gate("gate", false);
@@ -57,14 +57,14 @@ switching_counters run_switched_rc(bool incremental) {
                        1e9);
     sw.ctrl.bind(gate);
 
-    sim.run_seconds(k_sim_seconds);
+    tb.run(de::time::from_seconds(k_sim_seconds));
     return {ladder.net->factorizations(), ladder.net->symbolic_factorizations()};
 }
 
 /// The power_driver buck converter (bench_util::switched_buck — the same
 /// netlist tests/test_eln.cpp asserts bit-identical between the pipelines).
 switching_counters run_buck(bool incremental, double& vout_sample) {
-    sca::core::simulation sim;
+    sca::core::testbench tb;
 
     de::signal<double> duty("duty", 0.5);
     de::signal<bool> gate("gate", false);
@@ -76,26 +76,26 @@ switching_counters run_buck(bool incremental, double& vout_sample) {
     buck.net->set_incremental_updates(incremental);
     buck.hi_side->ctrl.bind(gate);
 
-    sim.run_seconds(k_sim_seconds);
+    tb.run(de::time::from_seconds(k_sim_seconds));
     vout_sample = buck.net->voltage(buck.vout_node);
     return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
 }
 
 /// The buck with the switch on and the load retuned before every step.
 switching_counters run_swept_load(double& vout_sample) {
-    sca::core::simulation sim;
+    sca::core::testbench tb;
 
     de::signal<bool> gate("gate", true);
     switched_buck buck;
     buck.hi_side->ctrl.bind(gate);
     auto* load = dynamic_cast<eln::resistor*>(buck.parts.back().get());
     std::uint64_t k = 0;
-    sim.context().register_method("sweep", [&] {
+    tb.context().register_method("sweep", [&] {
         load->set_value(4.0 + 1e-4 * static_cast<double>(k++));
-        sim.context().next_trigger(1_us);
+        tb.context().next_trigger(1_us);
     });
 
-    sim.run_seconds(k_sim_seconds);
+    tb.run(de::time::from_seconds(k_sim_seconds));
     vout_sample = buck.net->voltage(buck.vout_node);
     return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
 }

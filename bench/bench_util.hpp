@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"

@@ -50,12 +50,13 @@ params params::merged_onto(const params& defaults) const {
 
 // -------------------------------------------------------------- testbench --
 
-testbench::testbench(std::string name) : name_(std::move(name)) {}
+testbench::testbench(std::string name)
+    : name_(std::move(name)), ctx_(std::make_unique<de::simulation_context>()) {}
 
 testbench::~testbench() {
     // Model objects must unregister from a live context: activate ours (the
     // thread may have another testbench current) and drop them explicitly
-    // before the members' natural teardown reaches sim_.
+    // before the members' natural teardown reaches ctx_.
     activate();
     bag_.clear();
 }
@@ -69,7 +70,7 @@ void testbench::probe(std::string name, std::function<double()> fn) {
 }
 
 void testbench::probe(std::string name, const tdf::signal<double>& s) {
-    probe(std::move(name), core::probe(s));
+    probe(std::move(name), [&s] { return s.last_value(); });
     tdf_probes_.back() = &s;
 }
 
@@ -105,7 +106,7 @@ double testbench::note(const std::string& name) const {
 
 void testbench::elaborate() {
     activate();
-    sim_.elaborate();
+    ctx_->elaborate();
 }
 
 void testbench::run() {
@@ -116,7 +117,7 @@ void testbench::run() {
 
 void testbench::run(const de::time& duration) {
     attach_probes();
-    sim_.run(duration);
+    ctx_->run(duration);
     if (!taps_.empty()) complete_tapped_rows();
     measured_.clear();
     for (const auto& [name, fn] : measurement_defs_) measured_[name] = fn();
@@ -137,9 +138,13 @@ void testbench::attach_probes() {
     de::scheduler& sched = context().sched();
     const bool elaborated = context().elaborated();
     const std::size_t index = sched.processes().size();
-    sim_.elaborate();
+    ctx_->elaborate();
     if (attach_taps(/*cluster_first_at_zero=*/!elaborated)) return;
-    de::method_process& recorder = sim_.trace(trace_, sample_period_);
+    de::method_process& recorder =
+        ctx_->register_method("trace_recorder", [this, period = sample_period_] {
+            trace_.sample(ctx_->now().to_seconds());
+            ctx_->next_trigger(period);
+        });
     if (!elaborated) sched.move_process(recorder, index);
 }
 
@@ -176,7 +181,7 @@ bool testbench::attach_taps(bool cluster_first_at_zero) {
 }
 
 void testbench::complete_tapped_rows() {
-    const de::time now = sim_.now();
+    const de::time now = ctx_->now();
     for (const auto& tap : taps_) tap->fill_until(now);
     const std::size_t rows = trace_.filled(0);
     for (std::size_t i = trace_.size(); i < rows; ++i) {

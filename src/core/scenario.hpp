@@ -25,8 +25,9 @@
 // The testbench owns everything a single experiment needs: the kernel
 // context, the model objects (via make<T>), named probes recorded into an
 // in-memory trace, and named measurements evaluated when a run finishes.
-// The classic core::simulation remains as the thin single-run facade
-// underneath; scenario/testbench is the recommended front end.
+// It is also the imperative driver: declare `core::testbench tb;`, build
+// model objects on the stack (they register with tb's context), add probes,
+// then `tb.set_sample_period(T); tb.run(duration); tb.waveform("name")`.
 //
 // Builders compose hierarchically: make<T> a tdf::composite or
 // eln::subcircuit (which own their children via module::make_child), wire
@@ -45,7 +46,9 @@
 #include <variant>
 #include <vector>
 
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
+#include "kernel/signal.hpp"
+#include "tdf/port.hpp"
 #include "util/object_bag.hpp"
 #include "util/report.hpp"
 #include "util/trace.hpp"
@@ -148,11 +151,10 @@ public:
         return bag_.make<T>(std::forward<Args>(args)...);
     }
 
-    [[nodiscard]] simulation& sim() noexcept { return sim_; }
-    [[nodiscard]] de::simulation_context& context() noexcept { return sim_.context(); }
+    [[nodiscard]] de::simulation_context& context() noexcept { return *ctx_; }
 
     /// Make this testbench's context the thread's current one.
-    void activate() noexcept { sim_.context().make_current(); }
+    void activate() noexcept { ctx_->make_current(); }
 
     /// Parameters this testbench was built with (set by scenario::build).
     [[nodiscard]] const params& parameters() const noexcept { return params_; }
@@ -162,10 +164,10 @@ public:
     /// Record `fn` under `name` at every sample point of a transient run.
     void probe(std::string name, std::function<double()> fn);
     void probe(std::string name, const de::signal<double>& s) {
-        probe(std::move(name), core::probe(s));
+        probe(std::move(name), [&s] { return s.read(); });
     }
     void probe(std::string name, const de::signal<bool>& s) {
-        probe(std::move(name), core::probe(s));
+        probe(std::move(name), [&s] { return s.read() ? 1.0 : 0.0; });
     }
     /// A TDF signal is recorded by a tap inside the cluster that writes it
     /// (tdf::probe_tap) instead of a DE process, with the same samples.
@@ -262,7 +264,8 @@ public:
 private:
     /// First-run step: elaborate, then record the probes — through taps in
     /// the writing clusters when every probe is a TDF signal and the taps
-    /// can replay the recorder exactly, else through the DE recorder.
+    /// can replay the recorder exactly, else through the DE recorder (a
+    /// method process that samples every channel, then re-arms).
     void attach_probes();
     /// Tap every probe; false (nothing attached) when some probe cannot be.
     /// `cluster_first_at_zero`: the recorder would have been registered
@@ -272,7 +275,7 @@ private:
     void complete_tapped_rows();
 
     std::string name_;
-    simulation sim_;
+    std::unique_ptr<de::simulation_context> ctx_;
     util::object_bag bag_;
     util::memory_trace trace_;
     params params_;
@@ -312,8 +315,6 @@ public:
     /// Sorted names of every registered scenario — the service catalog the
     /// streaming server (src/server/) enumerates for clients.
     [[nodiscard]] static std::vector<std::string> names();
-    /// Older alias for names().
-    [[nodiscard]] static std::vector<std::string> defined_names() { return names(); }
 
     [[nodiscard]] bool valid() const noexcept { return impl_ != nullptr; }
     [[nodiscard]] const std::string& name() const;

@@ -41,7 +41,7 @@ class signal;
 /// instants k * sample_period, from inside the cluster that writes it, so a
 /// probe costs no DE process and no kernel wake per sample.
 ///
-/// Each row holds the value the DE trace recorder (core::simulation::trace)
+/// Each row holds the value the testbench's DE trace recorder process
 /// would have read at that instant: the last token written by the cluster
 /// cycles that started before it, plus the cycle starting at the instant
 /// itself when the kernel would have run the cluster first.  That same-instant

@@ -7,7 +7,7 @@
 
 #include "core/ac_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/nonlinear.hpp"
 #include "eln/primitives.hpp"
@@ -41,7 +41,7 @@ TEST(sweep, logarithmic_and_linear_grids) {
 namespace {
 
 struct rc_fixture {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net;
     eln::node vout;
@@ -57,7 +57,7 @@ struct rc_fixture {
         vs.set_ac(1.0);
         bag.make<eln::resistor>("r", net, vin, vout, r);
         bag.make<eln::capacitor>("c", net, vout, gnd, c);
-        sim.elaborate();
+        tb.elaborate();
     }
 };
 
@@ -83,7 +83,7 @@ TEST(ac, rc_lowpass_rolloff_20db_per_decade) {
 }
 
 TEST(ac, rl_divider_transfer) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -94,7 +94,7 @@ TEST(ac, rl_divider_transfer) {
     vs.set_ac(1.0);
     eln::resistor res("r", net, n1, n2, r);
     eln::inductor ind("l", net, n2, gnd, l);
-    sim.elaborate();
+    tb.elaborate();
     core::ac_analysis ac(net);
     const double f0 = 20e3;
     const auto pts =
@@ -106,7 +106,7 @@ TEST(ac, rl_divider_transfer) {
 }
 
 TEST(ac, rlc_bandpass_peaks_at_resonance) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -118,7 +118,7 @@ TEST(ac, rlc_bandpass_peaks_at_resonance) {
     eln::resistor res("r", net, n1, n2, r);
     eln::inductor ind("l", net, n2, gnd, l);
     eln::capacitor cap("c", net, n2, gnd, c);
-    sim.elaborate();
+    tb.elaborate();
     core::ac_analysis ac(net);
     const double f0 = 1.0 / (2.0 * std::numbers::pi * std::sqrt(l * c));
     const auto at = [&](double f) {
@@ -132,7 +132,7 @@ TEST(ac, rlc_bandpass_peaks_at_resonance) {
 }
 
 TEST(ac, lsf_ltf_matches_ideal_response) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -143,7 +143,7 @@ TEST(ac, lsf_ltf_matches_ideal_response) {
     const std::vector<double> den{1.0, 1.0 / (2.0 * std::numbers::pi * 5e3),
                                   1.0 / std::pow(2.0 * std::numbers::pi * 5e3, 2)};
     lsf::ltf_nd f("f", sys, u, y, num, den);
-    sim.elaborate();
+    tb.elaborate();
 
     core::ac_analysis ac(sys);
     for (double freq : {100.0, 1e3, 5e3, 20e3}) {
@@ -156,7 +156,7 @@ TEST(ac, lsf_ltf_matches_ideal_response) {
 }
 
 TEST(ac, nonlinear_diode_linearized_at_dc) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -168,7 +168,7 @@ TEST(ac, nonlinear_diode_linearized_at_dc) {
     eln::resistor res("r", net, vin, vd, r);
     eln::diode d("d", net, vd, gnd);
 
-    sim.run(2_us);  // DC operating point established by the first activation
+    tb.run(2_us);  // DC operating point established by the first activation
     const auto dc = net.state();
     const double id = (5.0 - dc[vd.index()]) / r;
     const double rd = 0.025852 / id;  // small-signal diode resistance
@@ -203,7 +203,7 @@ TEST(noise, integrated_rc_noise_approaches_kt_over_c) {
 
 TEST(noise, parallel_resistors_reduce_output_noise) {
     auto run_divider = [](double r2) {
-        core::simulation sim;
+        core::testbench tb;
         sca::util::object_bag bag;
         eln::network net("net");
         net.set_timestep(1.0, de::time_unit::us);
@@ -211,7 +211,7 @@ TEST(noise, parallel_resistors_reduce_output_noise) {
         auto n = net.create_node("n");
         bag.make<eln::resistor>("r1", net, n, gnd, 1000.0);
         bag.make<eln::resistor>("r2", net, n, gnd, r2);
-        sim.elaborate();
+        tb.elaborate();
         core::noise_analysis na(net);
         const auto res = na.run(n.index(), {1.0, 1.0, 1});
         return res.points[0].total_psd;
@@ -225,7 +225,7 @@ TEST(noise, parallel_resistors_reduce_output_noise) {
 }
 
 TEST(noise, noiseless_resistor_is_excluded) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -234,7 +234,7 @@ TEST(noise, noiseless_resistor_is_excluded) {
     auto& r1 = bag.make<eln::resistor>("r1", net, n, gnd, 1000.0);
     r1.set_noisy(false);
     bag.make<eln::resistor>("r2", net, n, gnd, 1000.0);
-    sim.elaborate();
+    tb.elaborate();
     core::noise_analysis na(net);
     const auto res = na.run(n.index(), {1.0, 1.0, 1});
     ASSERT_EQ(res.source_names.size(), 1U);
@@ -253,7 +253,7 @@ TEST(noise, per_source_contributions_sum_to_total) {
 }
 
 TEST(noise, vsource_noise_psd_contributes) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -266,7 +266,7 @@ TEST(noise, vsource_noise_psd_contributes) {
     auto& r2 = bag.make<eln::resistor>("r2", net, b, gnd, 1000.0);
     r1.set_noisy(false);
     r2.set_noisy(false);
-    sim.elaborate();
+    tb.elaborate();
     core::noise_analysis na(net);
     const auto res = na.run(b.index(), {1e3, 1e3, 1});
     // Divider halves the amplitude: PSD scales by 1/4.

@@ -9,7 +9,7 @@
 #include "core/ac_analysis.hpp"
 #include "core/dc_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 #include "eln/multidomain.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -33,7 +33,7 @@ namespace num = sca::num;
 using namespace sca::de::literals;
 
 TEST(coverage, ac_write_emits_frequency_rows) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -42,7 +42,7 @@ TEST(coverage, ac_write_emits_frequency_rows) {
     auto& vs = bag.make<eln::vsource>("vs", net, n, gnd, eln::waveform::dc(0.0));
     vs.set_ac(1.0);
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
-    sim.elaborate();
+    tb.elaborate();
 
     core::ac_analysis ac(net);
     const auto pts = ac.sweep(n.index(), {10.0, 1000.0, 3});
@@ -54,7 +54,7 @@ TEST(coverage, ac_write_emits_frequency_rows) {
 }
 
 TEST(coverage, noise_write_emits_per_source_columns) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -62,7 +62,7 @@ TEST(coverage, noise_write_emits_per_source_columns) {
     auto n = net.create_node("n");
     bag.make<eln::resistor>("ra", net, n, gnd, 1000.0);
     bag.make<eln::resistor>("rb", net, n, gnd, 1000.0);
-    sim.elaborate();
+    tb.elaborate();
 
     core::noise_analysis na(net);
     const auto result = na.run(n.index(), {100.0, 1e3, 2});
@@ -74,21 +74,21 @@ TEST(coverage, noise_write_emits_per_source_columns) {
 }
 
 TEST(coverage, pwm_extreme_duty_cycles) {
-    core::simulation sim;
+    core::testbench tb;
     de::signal<double> duty("duty", 0.0);
     de::signal<bool> out("out", true);
     lib::pwm gen("gen", 10_us);
     gen.duty.bind(duty);
     gen.out.bind(out);
-    sim.run(25_us);
+    tb.run(25_us);
     EXPECT_FALSE(out.read());  // 0%: permanently low
     duty.write(1.0);
-    sim.run(30_us);
+    tb.run(30_us);
     EXPECT_TRUE(out.read());  // 100%: permanently high
 }
 
 TEST(coverage, cccs_controlled_by_inductor_branch) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -103,7 +103,7 @@ TEST(coverage, cccs_controlled_by_inductor_branch) {
     eln::inductor l("l", net, mid, gnd, 1e-3);  // tau = L/R = 100 us
     eln::cccs mirror("mirror", net, l, gnd, b, 1.0);
     eln::resistor load("load", net, b, gnd, 1000.0);
-    sim.run(101_us);
+    tb.run(101_us);
     // i_L = (V/R)(1 - e^-1) = 63.2 mA; mirrored into 1k -> 63.2 V.
     EXPECT_NEAR(net.voltage(b), 100.0 * (1.0 - std::exp(-1.0)), 0.5);
 }
@@ -130,7 +130,7 @@ TEST(coverage, waveform_pwl_requires_sorted_points) {
 }
 
 TEST(coverage, de_out_rate_bound_is_enforced) {
-    core::simulation sim;
+    core::testbench tb;
     de::signal<double> wire("wire", 0.0);
     struct bad_writer : tdf::module {
         tdf::de_out<double> out;
@@ -139,11 +139,11 @@ TEST(coverage, de_out_rate_bound_is_enforced) {
         void processing() override { out.write(1.0, 3); }  // rate is 1
     } mod("mod");
     mod.out.bind(wire);
-    EXPECT_THROW(sim.run(1_us), sca::util::error);
+    EXPECT_THROW(tb.run(1_us), sca::util::error);
 }
 
 TEST(coverage, multidomain_rejects_nonpositive_parameters) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     auto v = net.create_node("v", eln::nature::mechanical_translational);
     auto g = net.ground(eln::nature::mechanical_translational);
@@ -153,7 +153,7 @@ TEST(coverage, multidomain_rejects_nonpositive_parameters) {
 }
 
 TEST(coverage, sigma_delta_rejects_unsupported_order) {
-    core::simulation sim;
+    core::testbench tb;
     EXPECT_THROW(lib::sigma_delta_modulator("m", 3, 1.0), sca::util::error);
     EXPECT_THROW(lib::sinc3_decimator("d", 1), sca::util::error);
 }
@@ -166,7 +166,7 @@ TEST(coverage, time_modulo_and_division) {
 
 TEST(coverage, first_order_amplifier_dc_probe_via_dc_analysis_options) {
     // dc_options pseudo-transient knob reachable through the facade.
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -174,7 +174,7 @@ TEST(coverage, first_order_amplifier_dc_probe_via_dc_analysis_options) {
     auto n = net.create_node("n");
     bag.make<eln::capacitor>("c", net, n, gnd, 1e-9);  // floating-by-C: singular A
     bag.make<eln::resistor>("r", net, n, gnd, 1e6);
-    sim.elaborate();
+    tb.elaborate();
     sca::core::dc_analysis dc(net);
     sca::solver::dc_options opt;
     opt.pseudo_tau = 1e3;

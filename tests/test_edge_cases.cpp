@@ -9,8 +9,7 @@
 
 #include "core/ac_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -234,7 +233,7 @@ TEST(solver_edge, newton_failure_at_h_min_raises) {
 // --------------------------------------------------------------------- eln
 
 TEST(eln_edge, ideal_opamp_inverting_amplifier) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -245,7 +244,7 @@ TEST(eln_edge, ideal_opamp_inverting_amplifier) {
     eln::resistor rin("rin", net, vin, vsum, 1000.0);
     eln::resistor rf("rf", net, vsum, vout, 10e3);
     eln::ideal_opamp op("op", net, gnd, vsum, vout);  // + input grounded
-    sim.run(3_us);
+    tb.run(3_us);
     EXPECT_NEAR(net.voltage(vout), -5.0, 1e-9);       // gain -Rf/Rin
     EXPECT_NEAR(net.voltage(vsum), 0.0, 1e-12);       // virtual ground
 }
@@ -253,7 +252,7 @@ TEST(eln_edge, ideal_opamp_inverting_amplifier) {
 TEST(eln_edge, gyrator_makes_inductor_from_capacitor) {
     // Gyrator loaded with C behaves as L = C/g^2: check the AC impedance
     // rises with frequency like an inductor.
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -267,7 +266,7 @@ TEST(eln_edge, gyrator_makes_inductor_from_capacitor) {
     bag.make<eln::gyrator>("gy", net, n1, gnd, n2, gnd, g);
     bag.make<eln::capacitor>("c", net, n2, gnd, c);
     bag.make<eln::resistor>("rp", net, n1, gnd, 1e9);  // keeps DC defined
-    sim.elaborate();
+    tb.elaborate();
     core::ac_analysis ac(net);
     const double l_sim = c / (g * g);  // 1 H
     for (double f : {10.0, 100.0}) {
@@ -277,7 +276,7 @@ TEST(eln_edge, gyrator_makes_inductor_from_capacitor) {
 }
 
 TEST(eln_edge, de_isource_injects_controlled_current) {
-    core::simulation sim;
+    core::testbench tb;
     de::signal<double> cmd("cmd", 0.0);
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -286,16 +285,16 @@ TEST(eln_edge, de_isource_injects_controlled_current) {
     eln::de_isource inj("inj", net, gnd, n);
     inj.inp.bind(cmd);
     eln::resistor r("r", net, n, gnd, 2000.0);
-    sim.run(2_us);
+    tb.run(2_us);
     EXPECT_NEAR(net.voltage(n), 0.0, 1e-12);
     cmd.write(1e-3);
-    sim.run(3_us);
+    tb.run(3_us);
     EXPECT_NEAR(net.voltage(n), 2.0, 1e-9);
 }
 
 TEST(eln_edge, noise_scales_with_temperature) {
     auto psd_at = [](double kelvin) {
-        core::simulation sim;
+        core::testbench tb;
         sca::util::object_bag bag;
         eln::network net("net");
         net.set_timestep(1.0, de::time_unit::us);
@@ -304,7 +303,7 @@ TEST(eln_edge, noise_scales_with_temperature) {
         auto n = net.create_node("n");
         bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
         bag.make<eln::capacitor>("c", net, n, gnd, 1e-12);
-        sim.elaborate();
+        tb.elaborate();
         core::noise_analysis na(net);
         return na.run(n.index(), {100.0, 100.0, 1}).points[0].total_psd;
     };
@@ -312,7 +311,7 @@ TEST(eln_edge, noise_scales_with_temperature) {
 }
 
 TEST(eln_edge, vsource_ac_phase_propagates) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -321,7 +320,7 @@ TEST(eln_edge, vsource_ac_phase_propagates) {
     auto& vs = bag.make<eln::vsource>("vs", net, n, gnd, eln::waveform::dc(0.0));
     vs.set_ac(2.0, 90.0);
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
-    sim.elaborate();
+    tb.elaborate();
     core::ac_analysis ac(net);
     const auto pt = ac.sweep(n.index(), {1e3, 1e3, 1})[0];
     EXPECT_NEAR(std::abs(pt.value), 2.0, 1e-12);
@@ -329,7 +328,7 @@ TEST(eln_edge, vsource_ac_phase_propagates) {
 }
 
 TEST(eln_edge, invalid_switch_parameters_rejected) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     auto gnd = net.ground();
     auto n = net.create_node("n");
@@ -343,7 +342,7 @@ TEST(eln_edge, invalid_switch_parameters_rejected) {
 TEST(lsf_edge, allpass_with_equal_degrees_has_unity_magnitude) {
     // H(s) = (s - w0)/(s + w0): numerator degree == denominator degree
     // exercises the direct-feedthrough path of the canonical realization.
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -352,7 +351,7 @@ TEST(lsf_edge, allpass_with_equal_degrees_has_unity_magnitude) {
     src.set_ac(1.0);
     const double w0 = 2.0 * std::numbers::pi * 1e3;
     lsf::ltf_nd ap("ap", sys, u, y, {-w0, 1.0}, {w0, 1.0});
-    sim.elaborate();
+    tb.elaborate();
     core::ac_analysis ac(sys);
     for (double f : {100.0, 1e3, 10e3}) {
         const auto pt = ac.sweep(y.index(), {f, f, 1})[0];
@@ -364,7 +363,7 @@ TEST(lsf_edge, allpass_with_equal_degrees_has_unity_magnitude) {
 }
 
 TEST(lsf_edge, ltf_initial_state_is_respected) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -373,28 +372,28 @@ TEST(lsf_edge, ltf_initial_state_is_respected) {
     const double w0 = 2.0 * std::numbers::pi * 1e3;
     lsf::ltf_nd lp("lp", sys, u, y, {1.0}, {1.0, 1.0 / w0});
     lp.set_initial_state({0.5});
-    sim.run(1_us);
+    tb.run(1_us);
     // Output starts at b0 * x0 = 0.5 and decays.
     EXPECT_NEAR(sys.value(y), 0.5, 1e-2);
 }
 
 TEST(lsf_edge, runtime_gain_change_restamps) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
     auto y = sys.create_signal("y");
     lsf::source src("src", sys, u, lsf::waveform::dc(1.0));
     lsf::gain g("g", sys, u, y, 2.0);
-    sim.run(2_us);
+    tb.run(2_us);
     EXPECT_NEAR(sys.value(y), 2.0, 1e-12);
     g.set_k(5.0);
-    sim.run(2_us);
+    tb.run(2_us);
     EXPECT_NEAR(sys.value(y), 5.0, 1e-9);
 }
 
 TEST(lsf_edge, improper_transfer_function_rejected) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     auto u = sys.create_signal("u");
     auto y = sys.create_signal("y");
@@ -406,7 +405,7 @@ TEST(lsf_edge, improper_transfer_function_rejected) {
 // --------------------------------------------------------------------- lib
 
 TEST(lib_edge, dac_bit_errors_distort_transfer) {
-    core::simulation sim;
+    core::testbench tb;
     struct code_src : tdf::module {
         tdf::out<std::int64_t> out;
         std::int64_t v = -8;
@@ -432,7 +431,7 @@ TEST(lib_edge, dac_bit_errors_distort_transfer) {
     skewed.out.bind(s2);
     r1.in.bind(s1);
     r2.in.bind(s2);
-    sim.run(15_us);
+    tb.run(15_us);
     // Ideal staircase is uniform; the skewed MSB creates a jump at code 0.
     double ideal_step_max = 0.0, skewed_step_max = 0.0;
     for (std::size_t i = 1; i < r1.got.size(); ++i) {
@@ -444,7 +443,7 @@ TEST(lib_edge, dac_bit_errors_distort_transfer) {
 }
 
 TEST(lib_edge, amplifier_offset_shifts_output) {
-    core::simulation sim;
+    core::testbench tb;
     struct zero_src : tdf::module {
         tdf::out<double> out;
         explicit zero_src(const de::module_name& nm) : tdf::module(nm), out("out") {}
@@ -464,12 +463,12 @@ TEST(lib_edge, amplifier_offset_shifts_output) {
     amp.in.bind(s1);
     amp.out.bind(s2);
     r.in.bind(s2);
-    sim.run(5_us);
+    tb.run(5_us);
     EXPECT_NEAR(r.last, 0.1, 1e-9);  // gain * offset
 }
 
 TEST(lib_edge, decimator_last_sample_mode) {
-    core::simulation sim;
+    core::testbench tb;
     struct ramp : tdf::module {
         tdf::out<double> out;
         double v = 0.0;
@@ -489,7 +488,7 @@ TEST(lib_edge, decimator_last_sample_mode) {
     dec.in.bind(s1);
     dec.out.bind(s2);
     r.in.bind(s2);
-    sim.run(8_us);
+    tb.run(8_us);
     ASSERT_GE(r.got.size(), 2U);
     EXPECT_DOUBLE_EQ(r.got[0], 3.0);
     EXPECT_DOUBLE_EQ(r.got[1], 7.0);
@@ -508,7 +507,7 @@ class opamp_gain_sweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(opamp_gain_sweep, inverting_gain_tracks_resistor_ratio) {
     const double ratio = static_cast<double>(GetParam());
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -520,7 +519,7 @@ TEST_P(opamp_gain_sweep, inverting_gain_tracks_resistor_ratio) {
     bag.make<eln::resistor>("rin", net, vin, vsum, 1000.0);
     bag.make<eln::resistor>("rf", net, vsum, vout, 1000.0 * ratio);
     bag.make<eln::ideal_opamp>("op", net, gnd, vsum, vout);
-    sim.run(2_us);
+    tb.run(2_us);
     EXPECT_NEAR(net.voltage(vout), -0.25 * ratio, 1e-9);
 }
 

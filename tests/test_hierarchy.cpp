@@ -504,7 +504,7 @@ TEST(hierarchy, receiver_like_flat_and_hierarchical_are_bit_identical) {
     };
 
     auto run_flat = [] {
-        core::simulation sim;
+        core::testbench tb;
         lib::sine_source src("src", 20e-3, 455e3);
         src.set_timestep(0.2, de::time_unit::us);
         lib::amplifier lna("lna", 20.0, 1.0, -1.0);
@@ -527,18 +527,18 @@ TEST(hierarchy, receiver_like_flat_and_hierarchical_are_bit_identical) {
         tdf::signal<double> s6("s6");
         fir.out.bind(s6);
         rec.in.bind(s6);
-        sim.run(2_ms);
+        tb.run(2_ms);
         return rec.got;
     };
     auto run_hier = [] {
-        core::simulation sim;
+        core::testbench tb;
         lib::sine_source src("src", 20e-3, 455e3);
         src.set_timestep(0.2, de::time_unit::us);
         front_end rx("rx", 445e3);
         collector rec("rec");
         connect(src.out, rx.rf);
         connect(rx.if_out, rec.in);
-        sim.run(2_ms);
+        tb.run(2_ms);
         return rec.got;
     };
 
@@ -621,7 +621,7 @@ TEST(hierarchy, pipeline_adc_composite_matches_monolithic_reference) {
         return std::clamp<std::int64_t>(code, -max_code - 1, max_code);
     };
 
-    core::simulation sim;
+    core::testbench tb;
     struct wave_src : tdf::module {
         tdf::out<double> out;
         double t = 0.0;
@@ -644,7 +644,7 @@ TEST(hierarchy, pipeline_adc_composite_matches_monolithic_reference) {
     connect(src.out, adc.in);
     connect(adc.code, rec.in);
     connect(adc.analog_estimate, est.in);
-    sim.run(2_ms);
+    tb.run(2_ms);
 
     ASSERT_GE(rec.got.size(), 100U);
     double t = 0.0;
@@ -655,14 +655,14 @@ TEST(hierarchy, pipeline_adc_composite_matches_monolithic_reference) {
 }
 
 TEST(hierarchy, sigma_delta_adc_composite_tracks_dc_input) {
-    core::simulation sim;
+    core::testbench tb;
     lib::waveform_source src("src", sca::util::waveform::dc(0.4));
     src.set_timestep(1.0, de::time_unit::us);
     lib::sigma_delta_adc adc("adc", 2, 1.0, 32);
     collector rec("rec");
     connect(src.out, adc.in);
     connect(adc.out, rec.in);
-    sim.run(20_ms);
+    tb.run(20_ms);
     ASSERT_GE(rec.got.size(), 100U);
     double sum = 0.0;
     for (std::size_t i = rec.got.size() - 100; i < rec.got.size(); ++i) {
@@ -672,7 +672,7 @@ TEST(hierarchy, sigma_delta_adc_composite_tracks_dc_input) {
 }
 
 TEST(hierarchy, pll_loop_composite_tracks_monolithic_pll_sample_for_sample) {
-    core::simulation sim;
+    core::testbench tb;
     const double f_ref = 10.2e3, f0 = 10e3, kv = 2e3, bw = 1000.0;
     lib::sine_source ref("ref", 1.0, f_ref);
     ref.set_timestep(2.0, de::time_unit::us);
@@ -691,7 +691,7 @@ TEST(hierarchy, pll_loop_composite_tracks_monolithic_pll_sample_for_sample) {
     connect(mono.control, ctl_sink.in);
     connect(comp.out, comp_out.in);
 
-    sim.run(100_ms);
+    tb.run(100_ms);
     ASSERT_EQ(mono_out.got.size(), comp_out.got.size());
     ASSERT_GE(mono_out.got.size(), 1000U);
     // The composite's delayed feedback reproduces the monolithic recursion

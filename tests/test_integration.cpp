@@ -6,8 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -49,7 +48,7 @@ struct collector : tdf::module {
 TEST(integration, tdf_lsf_eln_chain_propagates_signal) {
     // Signal path crossing three MoCs: TDF sine -> LSF lowpass -> ELN RC
     // line -> TDF probe, all in a single cluster.
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
 
     lib::sine_source src("src", 1.0, 1e3);
@@ -81,7 +80,7 @@ TEST(integration, tdf_lsf_eln_chain_propagates_signal) {
     probe.outp.bind(s3);
     sink.in.bind(s3);
 
-    sim.run(5_ms);
+    tb.run(5_ms);
     // Divider halves the filtered sine: amplitude ~0.5 in steady state.
     std::vector<double> tail(sink.samples.end() - 400, sink.samples.end());
     double amp = 0.0;
@@ -93,7 +92,7 @@ TEST(integration, de_controller_closes_loop_over_analog_plant) {
     // Bang-bang temperature-style control: ELN RC integrator charges, a TDF
     // comparator publishes to DE, the DE controller toggles the charging
     // switch. The loop must regulate the capacitor voltage near setpoint.
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
 
     de::signal<bool> heater_on("heater_on", true);
@@ -142,11 +141,11 @@ TEST(integration, de_controller_closes_loop_over_analog_plant) {
     ctl.above_in.bind(above);
     ctl.heat_out.bind(heater_on);
 
-    core::transient_recorder rec(sim, 100_us);
-    rec.add_probe("vc", [&] { return plant.voltage(vc); });
-    rec.run(100_ms);
+    tb.set_sample_period(100_us);
+    tb.probe("vc", [&] { return plant.voltage(vc); });
+    tb.run(100_ms);
 
-    const auto v = rec.column(0);
+    const auto v = tb.waveform("vc");
     // After the first rise, regulation holds the voltage near 5 V.
     std::vector<double> tail(v.end() - 400, v.end());
     for (double x : tail) {
@@ -158,7 +157,7 @@ TEST(integration, de_controller_closes_loop_over_analog_plant) {
 
 TEST(integration, codec_path_sigma_delta_to_fir) {
     // Figure-1 codec slice: sine -> sigma-delta -> sinc3 decimator -> FIR.
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 0.5, 500.0);
     src.set_timestep(2.0, de::time_unit::us);  // 500 kHz modulator rate
     lib::sigma_delta_modulator mod("mod", 2, 1.0);
@@ -175,7 +174,7 @@ TEST(integration, codec_path_sigma_delta_to_fir) {
     post.out.bind(s4);
     sink.in.bind(s4);
 
-    sim.run(60_ms);
+    tb.run(60_ms);
     std::vector<double> tail(sink.samples.end() - 512, sink.samples.end());
     const double sinad = sca::util::sinad_db(tail, 500e3 / 32.0);
     EXPECT_GT(sinad, 30.0);
@@ -186,8 +185,9 @@ TEST(integration, codec_path_sigma_delta_to_fir) {
 
 TEST(integration, trace_files_capture_mixed_signals) {
     const std::string path = ::testing::TempDir() + "sca_integration_trace.dat";
+    std::vector<double> times;
     {
-        core::simulation sim;
+        core::testbench tb;
         lib::sine_source src("src", 1.0, 1e3);
         src.set_timestep(10.0, de::time_unit::us);
         collector sink("sink");
@@ -195,25 +195,31 @@ TEST(integration, trace_files_capture_mixed_signals) {
         src.out.bind(s);
         sink.in.bind(s);
 
-        sca::util::tabular_trace_file file(path);
-        file.add_channel("sine", core::probe(s));
-        sim.trace(file, 100_us);
-        sim.run(1_ms);
-        file.close();
+        tb.probe("sine", s);
+        tb.set_sample_period(100_us);
+        tb.run(1_ms);
+        tb.save_trace(path);
+        times = tb.times();
     }
     std::ifstream in(path);
     std::string header;
     std::getline(in, header);
     EXPECT_EQ(header, "%time sine");
     int rows = 0;
+    double first_time = -1.0;
     std::string line;
-    while (std::getline(in, line)) ++rows;
+    while (std::getline(in, line)) {
+        if (rows++ == 0) first_time = std::stod(line.substr(0, line.find(' ')));
+    }
     EXPECT_GE(rows, 10);
+    EXPECT_EQ(static_cast<std::size_t>(rows), times.size());
+    ASSERT_FALSE(times.empty());
+    EXPECT_DOUBLE_EQ(first_time, times.front());
     std::remove(path.c_str());
 }
 
 TEST(integration, multiple_networks_in_one_simulation) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net_a("net_a");
     net_a.set_timestep(1.0, de::time_unit::us);
@@ -229,7 +235,7 @@ TEST(integration, multiple_networks_in_one_simulation) {
     bag.make<eln::isource>("ib", net_b, gb, nb, eln::waveform::dc(2e-3));
     bag.make<eln::resistor>("rb", net_b, nb, gb, 1000.0);
 
-    sim.run(30_us);
+    tb.run(30_us);
     EXPECT_NEAR(net_a.voltage(na), 1.0, 1e-9);
     EXPECT_NEAR(net_b.voltage(nb), 2.0, 1e-9);
     EXPECT_EQ(net_a.activation_count(), 31U);
@@ -238,7 +244,7 @@ TEST(integration, multiple_networks_in_one_simulation) {
 
 TEST(integration, de_clock_gates_tdf_processing) {
     // A DE clock's value gates a TDF accumulator through a de_in port.
-    core::simulation sim;
+    core::testbench tb;
     de::clock clk("clk", 20_us);
 
     struct gated_accumulator : tdf::module {
@@ -259,7 +265,7 @@ TEST(integration, de_clock_gates_tdf_processing) {
     acc.out.bind(s);
     sink.in.bind(s);
 
-    sim.run(100_us);
+    tb.run(100_us);
     // Clock high 50% of the time: accumulator counts roughly half the 21
     // activations.
     const double final = sink.samples.back();

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -53,7 +52,7 @@ struct int_collector : tdf::module {
 }  // namespace
 
 TEST(amplifier, gain_and_saturation) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 1.0, 10e3);
     src.set_timestep(1.0, de::time_unit::us);
     lib::amplifier amp("amp", 5.0, 2.5, -2.5);
@@ -64,7 +63,7 @@ TEST(amplifier, gain_and_saturation) {
     amp.out.bind(s2);
     sink.in.bind(s2);
 
-    sim.run(200_us);
+    tb.run(200_us);
     double vmax = 0.0, vmin = 0.0;
     for (double v : sink.samples) {
         vmax = std::max(vmax, v);
@@ -76,7 +75,7 @@ TEST(amplifier, gain_and_saturation) {
 
 TEST(amplifier, bandwidth_attenuates_high_frequency) {
     auto amplitude_at = [](double f_signal) {
-        core::simulation sim;
+        core::testbench tb;
         lib::sine_source src("src", 1.0, f_signal);
         src.set_timestep(100.0, de::time_unit::ns);
         lib::amplifier amp("amp", 1.0);
@@ -87,7 +86,7 @@ TEST(amplifier, bandwidth_attenuates_high_frequency) {
         amp.in.bind(s1);
         amp.out.bind(s2);
         sink.in.bind(s2);
-        sim.run(2_ms);
+        tb.run(2_ms);
         double vmax = 0.0;
         for (std::size_t i = sink.samples.size() / 2; i < sink.samples.size(); ++i) {
             vmax = std::max(vmax, std::abs(sink.samples[i]));
@@ -106,7 +105,7 @@ TEST(fir, design_has_unity_dc_gain) {
 }
 
 TEST(fir, lowpass_rejects_high_frequency) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source lo("lo", 1.0, 1e3);
     lo.set_timestep(10.0, de::time_unit::us);  // fs = 100 kHz
     lib::sine_source hi("hi", 1.0, 40e3);
@@ -129,7 +128,7 @@ TEST(fir, lowpass_rejects_high_frequency) {
     filt.out.bind(s4);
     sink.in.bind(s4);
 
-    sim.run(20_ms);
+    tb.run(20_ms);
     // After settling, output should be nearly the pure 1 kHz tone.
     std::vector<double> tail(sink.samples.end() - 1024, sink.samples.end());
     const auto spec = sca::util::magnitude_spectrum(tail, 100e3);
@@ -150,7 +149,7 @@ TEST(biquad, bilinear_lowpass_tracks_analog_prototype) {
     const double w0 = 2.0 * std::numbers::pi * fc;
     const auto c = lib::bilinear({1.0}, {1.0, 1.0 / w0}, 48e3);
 
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 1.0, fc);  // at the corner: -3 dB expected
     src.set_timestep(1.0 / 48e3, de::time_unit::sec);
     lib::biquad f("f", c);
@@ -161,7 +160,7 @@ TEST(biquad, bilinear_lowpass_tracks_analog_prototype) {
     f.out.bind(s2);
     sink.in.bind(s2);
 
-    sim.run(20_ms);
+    tb.run(20_ms);
     double vmax = 0.0;
     for (std::size_t i = sink.samples.size() / 2; i < sink.samples.size(); ++i) {
         vmax = std::max(vmax, std::abs(sink.samples[i]));
@@ -170,7 +169,7 @@ TEST(biquad, bilinear_lowpass_tracks_analog_prototype) {
 }
 
 TEST(multirate, decimator_averages) {
-    core::simulation sim;
+    core::testbench tb;
     struct ramp : tdf::module {
         tdf::out<double> out;
         double v = 0.0;
@@ -186,14 +185,14 @@ TEST(multirate, decimator_averages) {
     dec.out.bind(s2);
     sink.in.bind(s2);
 
-    sim.run(16_us);
+    tb.run(16_us);
     ASSERT_GE(sink.samples.size(), 4U);
     EXPECT_DOUBLE_EQ(sink.samples[0], 1.5);   // mean of 0,1,2,3
     EXPECT_DOUBLE_EQ(sink.samples[1], 5.5);   // mean of 4,5,6,7
 }
 
 TEST(multirate, interpolator_is_linear) {
-    core::simulation sim;
+    core::testbench tb;
     struct steps : tdf::module {
         tdf::out<double> out;
         double v = 0.0;
@@ -212,7 +211,7 @@ TEST(multirate, interpolator_is_linear) {
     interp.out.bind(s2);
     sink.in.bind(s2);
 
-    sim.run(12_us);
+    tb.run(12_us);
     // First input 0 (prev 0): flat; second input 4: ramps 1,2,3,4.
     ASSERT_GE(sink.samples.size(), 8U);
     EXPECT_DOUBLE_EQ(sink.samples[4], 1.0);
@@ -221,7 +220,7 @@ TEST(multirate, interpolator_is_linear) {
 }
 
 TEST(adc_dac, roundtrip_within_one_lsb) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 0.9, 1e3);
     src.set_timestep(10.0, de::time_unit::us);
     lib::adc a("a", 10, 1.0);
@@ -239,7 +238,7 @@ TEST(adc_dac, roundtrip_within_one_lsb) {
     sink.in.bind(s4);
     orig.in.bind(s1);
 
-    sim.run(2_ms);
+    tb.run(2_ms);
     const double lsb = 2.0 / 1024.0;
     for (std::size_t i = 0; i < sink.samples.size(); ++i) {
         EXPECT_NEAR(sink.samples[i], orig.samples[i], lsb) << i;
@@ -247,7 +246,7 @@ TEST(adc_dac, roundtrip_within_one_lsb) {
 }
 
 TEST(adc, saturates_at_full_scale) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 3.0, 1e3);  // overdrive
     src.set_timestep(10.0, de::time_unit::us);
     lib::adc a("a", 8, 1.0);
@@ -262,7 +261,7 @@ TEST(adc, saturates_at_full_scale) {
     codes.in.bind(s2);
     q.in.bind(s3);
 
-    sim.run(2_ms);
+    tb.run(2_ms);
     for (auto c : codes.samples) {
         EXPECT_GE(c, -128);
         EXPECT_LE(c, 127);
@@ -270,7 +269,7 @@ TEST(adc, saturates_at_full_scale) {
 }
 
 TEST(sample_hold, holds_value_across_output_rate) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 1.0, 1e3);
     src.set_timestep(100.0, de::time_unit::us);
     lib::sample_hold sh("sh", 4);
@@ -281,7 +280,7 @@ TEST(sample_hold, holds_value_across_output_rate) {
     sh.out.bind(s2);
     sink.in.bind(s2);
 
-    sim.run(1_ms);
+    tb.run(1_ms);
     ASSERT_GE(sink.samples.size(), 8U);
     for (std::size_t i = 0; i + 3 < sink.samples.size(); i += 4) {
         EXPECT_DOUBLE_EQ(sink.samples[i], sink.samples[i + 1]);
@@ -290,7 +289,7 @@ TEST(sample_hold, holds_value_across_output_rate) {
 }
 
 TEST(comparator, hysteresis_prevents_chatter) {
-    core::simulation sim;
+    core::testbench tb;
     struct noisy_ramp : tdf::module {
         tdf::out<double> out;
         explicit noisy_ramp(const de::module_name& nm) : tdf::module(nm), out("out") {}
@@ -319,12 +318,12 @@ TEST(comparator, hysteresis_prevents_chatter) {
     cmp.out.bind(s2);
     sink.in.bind(s2);
 
-    sim.run(100_us);
+    tb.run(100_us);
     EXPECT_EQ(sink.toggles, 1);  // ripple < hysteresis: exactly one switch
 }
 
 TEST(sigma_delta, dc_average_tracks_input) {
-    core::simulation sim;
+    core::testbench tb;
     lib::waveform_source src("src", sca::util::waveform::dc(0.25));
     src.set_timestep(1.0, de::time_unit::us);
     lib::sigma_delta_modulator mod("mod", 2, 1.0);
@@ -335,13 +334,13 @@ TEST(sigma_delta, dc_average_tracks_input) {
     mod.out.bind(s2);
     sink.in.bind(s2);
 
-    sim.run(20_ms);
+    tb.run(20_ms);
     EXPECT_NEAR(sca::util::mean(sink.samples), 0.25, 0.01);
     for (double v : sink.samples) EXPECT_TRUE(v == 1.0 || v == -1.0);
 }
 
 TEST(sigma_delta, sinc3_decimation_recovers_sine) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 0.5, 1e3);
     src.set_timestep(1.0, de::time_unit::us);  // 1 MHz, OSR 64 -> 15.6 kHz out
     lib::sigma_delta_modulator mod("mod", 2, 1.0);
@@ -355,14 +354,14 @@ TEST(sigma_delta, sinc3_decimation_recovers_sine) {
     dec.out.bind(s3);
     sink.in.bind(s3);
 
-    sim.run(50_ms);
+    tb.run(50_ms);
     std::vector<double> tail(sink.samples.begin() + 16, sink.samples.end());
     const double sinad = sca::util::sinad_db(tail, 1e6 / 64.0);
     EXPECT_GT(sinad, 35.0);  // 2nd-order sigma-delta at OSR 64
 }
 
 TEST(pipeline_adc, ideal_enob_close_to_nominal) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source src("src", 0.95, 997.0);  // avoid coherent sampling
     src.set_timestep(10.0, de::time_unit::us);
     lib::pipeline_adc adc("adc", 9, 1.0);  // 10-bit
@@ -375,7 +374,7 @@ TEST(pipeline_adc, ideal_enob_close_to_nominal) {
     adc.analog_estimate.bind(s3);
     sink.in.bind(s3);
 
-    sim.run(82_ms);  // 8192 samples at 100 kHz
+    tb.run(82_ms);  // 8192 samples at 100 kHz
     std::vector<double> tail(sink.samples.end() - 8192, sink.samples.end());
     const double enob = sca::util::enob(sca::util::sinad_db(tail, 100e3));
     EXPECT_GT(enob, 8.5);
@@ -383,7 +382,7 @@ TEST(pipeline_adc, ideal_enob_close_to_nominal) {
 
 TEST(pipeline_adc, correction_absorbs_comparator_offsets) {
     auto run_enob = [](bool correction) {
-        core::simulation sim;
+        core::testbench tb;
         lib::sine_source src("src", 0.9, 997.0);
         src.set_timestep(10.0, de::time_unit::us);
         lib::pipeline_adc adc("adc", 9, 1.0);
@@ -399,7 +398,7 @@ TEST(pipeline_adc, correction_absorbs_comparator_offsets) {
         adc.code.bind(s2);
         adc.analog_estimate.bind(s3);
         sink.in.bind(s3);
-        sim.run(42_ms);
+        tb.run(42_ms);
         std::vector<double> tail(sink.samples.end() - 4096, sink.samples.end());
         return sca::util::enob(sca::util::sinad_db(tail, 100e3));
     };
@@ -410,7 +409,7 @@ TEST(pipeline_adc, correction_absorbs_comparator_offsets) {
 }
 
 TEST(pwm, duty_cycle_sets_high_time) {
-    core::simulation sim;
+    core::testbench tb;
     de::signal<double> duty("duty", 0.25);
     de::signal<bool> out("out", false);
     lib::pwm gen("gen", 10_us);
@@ -418,13 +417,13 @@ TEST(pwm, duty_cycle_sets_high_time) {
     gen.out.bind(out);
 
     std::vector<std::pair<double, bool>> log;
-    auto& watch = sim.context().register_method("watch", [&] {
-        log.emplace_back(sim.context().now().to_seconds(), out.read());
+    auto& watch = tb.context().register_method("watch", [&] {
+        log.emplace_back(tb.context().now().to_seconds(), out.read());
     });
     watch.dont_initialize();
     watch.make_sensitive(out.value_changed_event());
 
-    sim.run(30_us);
+    tb.run(30_us);
     // Rising at 0,10u,20u..., falling at 2.5u,12.5u,...
     ASSERT_GE(log.size(), 5U);
     EXPECT_NEAR(log[1].first - log[0].first, 2.5e-6, 1e-12);
@@ -432,7 +431,7 @@ TEST(pwm, duty_cycle_sets_high_time) {
 }
 
 TEST(mixer, produces_sum_and_difference_tones) {
-    core::simulation sim;
+    core::testbench tb;
     lib::sine_source rf("rf", 1.0, 12e3);
     rf.set_timestep(2.0, de::time_unit::us);  // fs = 500 kHz
     lib::sine_source lo("lo", 1.0, 10e3);
@@ -446,7 +445,7 @@ TEST(mixer, produces_sum_and_difference_tones) {
     mx.out.bind(s3);
     sink.in.bind(s3);
 
-    sim.run(40_ms);
+    tb.run(40_ms);
     std::vector<double> tail(sink.samples.end() - 8192, sink.samples.end());
     const auto spec = sca::util::magnitude_spectrum(tail, 500e3);
     double at_2k = 0.0, at_22k = 0.0, at_12k = 0.0;
@@ -461,7 +460,7 @@ TEST(mixer, produces_sum_and_difference_tones) {
 }
 
 TEST(oscillator, quadrature_outputs_are_orthogonal) {
-    core::simulation sim;
+    core::testbench tb;
     lib::quadrature_oscillator osc("osc", 1.0, 5e3);
     osc.set_timestep(1.0, de::time_unit::us);
     collector si("si"), sq("sq");
@@ -471,7 +470,7 @@ TEST(oscillator, quadrature_outputs_are_orthogonal) {
     si.in.bind(s1);
     sq.in.bind(s2);
 
-    sim.run(5_ms);
+    tb.run(5_ms);
     for (std::size_t i = 0; i < si.samples.size(); ++i) {
         const double mag = si.samples[i] * si.samples[i] + sq.samples[i] * sq.samples[i];
         EXPECT_NEAR(mag, 1.0, 1e-9);
@@ -479,7 +478,7 @@ TEST(oscillator, quadrature_outputs_are_orthogonal) {
 }
 
 TEST(noise_sources, statistics_match_parameters) {
-    core::simulation sim;
+    core::testbench tb;
     lib::gaussian_noise_source g("g", 0.5, 42);
     g.set_timestep(1.0, de::time_unit::us);
     lib::uniform_noise_source u("u", 1.0, 43);
@@ -491,7 +490,7 @@ TEST(noise_sources, statistics_match_parameters) {
     cg.in.bind(s1);
     cu.in.bind(s2);
 
-    sim.run(100_ms);
+    tb.run(100_ms);
     EXPECT_NEAR(sca::util::rms(cg.samples), 0.5, 0.02);
     EXPECT_NEAR(sca::util::mean(cg.samples), 0.0, 0.02);
     double umax = 0.0;
@@ -505,7 +504,7 @@ TEST(external_ode, wrapped_rk4_matches_eln_rc) {
     // native ELN solver must agree (open solver-coupling objective).
     const double r = 1000.0, c = 100e-9;
 
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     // Native ELN reference.
     sca::eln::network net("net");
@@ -537,13 +536,13 @@ TEST(external_ode, wrapped_rk4_matches_eln_rc) {
     ext.out.bind(s2);
     sink.in.bind(s2);
 
-    core::transient_recorder rec(sim, 5_us);
-    rec.add_probe("eln", [&] { return net.voltage(vout); });
-    rec.add_probe("ext", [&] { return sink.samples.empty() ? 0.0 : sink.samples.back(); });
-    rec.run(400_us);
+    tb.set_sample_period(5_us);
+    tb.probe("eln", [&] { return net.voltage(vout); });
+    tb.probe("ext", [&] { return sink.samples.empty() ? 0.0 : sink.samples.back(); });
+    tb.run(400_us);
 
-    const auto eln_v = rec.column(0);
-    const auto ext_v = rec.column(1);
+    const auto eln_v = tb.waveform("eln");
+    const auto ext_v = tb.waveform("ext");
     for (std::size_t i = 2; i < eln_v.size(); ++i) {
         EXPECT_NEAR(eln_v[i], ext_v[i], 0.02) << i;
     }

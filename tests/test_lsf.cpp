@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "lsf/ltf.hpp"
 #include "lsf/node.hpp"
 #include "lsf/primitives.hpp"
@@ -20,7 +19,7 @@ namespace core = sca::core;
 using namespace sca::de::literals;
 
 TEST(lsf, gain_add_sub_relations) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -32,14 +31,14 @@ TEST(lsf, gain_add_sub_relations) {
     lsf::add a("a", sys, u, g, s);
     lsf::sub m("m", sys, s, u, d);
 
-    sim.run(3_us);
+    tb.run(3_us);
     EXPECT_NEAR(sys.value(g), 6.0, 1e-12);
     EXPECT_NEAR(sys.value(s), 8.0, 1e-12);
     EXPECT_NEAR(sys.value(d), 6.0, 1e-12);
 }
 
 TEST(lsf, integrator_ramp) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -47,12 +46,12 @@ TEST(lsf, integrator_ramp) {
     lsf::source src("src", sys, u, lsf::waveform::dc(1000.0));
     lsf::integ integ("i", sys, u, y, 1.0, 0.0);
 
-    sim.run(1_ms);
+    tb.run(1_ms);
     EXPECT_NEAR(sys.value(y), 1.0, 1e-6);  // 1000 * 1e-3
 }
 
 TEST(lsf, integrator_initial_condition) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -60,12 +59,12 @@ TEST(lsf, integrator_initial_condition) {
     lsf::source src("src", sys, u, lsf::waveform::dc(0.0));
     lsf::integ integ("i", sys, u, y, 1.0, 2.5);
 
-    sim.run(10_us);
+    tb.run(10_us);
     EXPECT_NEAR(sys.value(y), 2.5, 1e-9);
 }
 
 TEST(lsf, differentiator_of_ramp) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     // Trapezoidal integration rings on a pure differentiator (marginally
@@ -77,12 +76,12 @@ TEST(lsf, differentiator_of_ramp) {
                     lsf::waveform::custom([](double t) { return 5000.0 * t; }));
     lsf::dot d("d", sys, u, y, 1.0);
 
-    sim.run(100_us);
+    tb.run(100_us);
     EXPECT_NEAR(sys.value(y), 5000.0, 1.0);
 }
 
 TEST(lsf, first_order_lowpass_step) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -92,20 +91,20 @@ TEST(lsf, first_order_lowpass_step) {
     lsf::source src("src", sys, u, lsf::waveform::dc(1.0));
     lsf::ltf_nd f("f", sys, u, y, tf.num, tf.den);
 
-    core::transient_recorder rec(sim, 10_us);
-    rec.add_probe("y", [&] { return sys.value(y); });
-    rec.run(2_ms);
+    tb.set_sample_period(10_us);
+    tb.probe("y", [&] { return sys.value(y); });
+    tb.run(2_ms);
 
     const double tau = 1.0 / (2.0 * std::numbers::pi * fc);
-    const auto v = rec.column(0);
+    const auto v = tb.waveform("y");
     // Compare a mid-trajectory point against the analytic charging curve.
-    const double t_probe = rec.times()[50];
+    const double t_probe = tb.times()[50];
     EXPECT_NEAR(v[50], 1.0 - std::exp(-t_probe / tau), 5e-3);
     EXPECT_NEAR(v.back(), 1.0, 1e-3);
 }
 
 TEST(lsf, second_order_bandpass_rejects_dc) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -114,12 +113,12 @@ TEST(lsf, second_order_bandpass_rejects_dc) {
     lsf::source src("src", sys, u, lsf::waveform::dc(1.0));
     lsf::ltf_nd f("f", sys, u, y, tf.num, tf.den);
 
-    sim.run(2_ms);
+    tb.run(2_ms);
     EXPECT_NEAR(sys.value(y), 0.0, 1e-3);
 }
 
 TEST(lsf, bandpass_passes_center_frequency) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(200.0, de::time_unit::ns);
     auto u = sys.create_signal("u");
@@ -129,11 +128,11 @@ TEST(lsf, bandpass_passes_center_frequency) {
     lsf::source src("src", sys, u, lsf::waveform::sine(1.0, f0));
     lsf::ltf_nd f("f", sys, u, y, tf.num, tf.den);
 
-    core::transient_recorder rec(sim, 5_us);
-    rec.add_probe("y", [&] { return sys.value(y); });
-    rec.run(3_ms);  // settle, then measure
+    tb.set_sample_period(5_us);
+    tb.probe("y", [&] { return sys.value(y); });
+    tb.run(3_ms);  // settle, then measure
 
-    const auto v = rec.column(0);
+    const auto v = tb.waveform("y");
     double amp = 0.0;
     for (std::size_t i = v.size() / 2; i < v.size(); ++i) amp = std::max(amp, std::abs(v[i]));
     EXPECT_NEAR(amp, 1.0, 0.03);  // unity gain at center
@@ -144,7 +143,7 @@ TEST(lsf, ltf_zp_matches_nd_realization) {
     const std::vector<std::complex<double>> zeros{{-1000.0, 0.0}};
     const std::vector<std::complex<double>> poles{{-2000.0, 3000.0}, {-2000.0, -3000.0}};
 
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -159,13 +158,13 @@ TEST(lsf, ltf_zp_matches_nd_realization) {
     }();
     lsf::ltf_nd nd("nd", sys, u, y2, num, lsf::poly_from_roots(poles));
 
-    core::transient_recorder rec(sim, 10_us);
-    rec.add_probe("y1", [&] { return sys.value(y1); });
-    rec.add_probe("y2", [&] { return sys.value(y2); });
-    rec.run(5_ms);
+    tb.set_sample_period(10_us);
+    tb.probe("y1", [&] { return sys.value(y1); });
+    tb.probe("y2", [&] { return sys.value(y2); });
+    tb.run(5_ms);
 
-    const auto a = rec.column(0);
-    const auto b = rec.column(1);
+    const auto a = tb.waveform("y1");
+    const auto b = tb.waveform("y2");
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
 }
 
@@ -180,7 +179,7 @@ TEST(lsf, poly_from_roots_requires_conjugate_closure) {
 
 TEST(lsf, state_space_matches_transfer_function) {
     // dx/dt = -w x + w u, y = x  == first-order lowpass.
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -197,38 +196,38 @@ TEST(lsf, state_space_matches_transfer_function) {
     const auto tf = lsf::filters::first_order_lowpass(1000.0);
     lsf::ltf_nd f("f", sys, u, y_tf, tf.num, tf.den);
 
-    core::transient_recorder rec(sim, 20_us);
-    rec.add_probe("ss", [&] { return sys.value(y_ss); });
-    rec.add_probe("tf", [&] { return sys.value(y_tf); });
-    rec.run(1_ms);
+    tb.set_sample_period(20_us);
+    tb.probe("ss", [&] { return sys.value(y_ss); });
+    tb.probe("tf", [&] { return sys.value(y_tf); });
+    tb.run(1_ms);
 
-    const auto va = rec.column(0);
-    const auto vb = rec.column(1);
+    const auto va = tb.waveform("ss");
+    const auto vb = tb.waveform("tf");
     for (std::size_t i = 0; i < va.size(); ++i) EXPECT_NEAR(va[i], vb[i], 1e-6);
 }
 
 TEST(lsf, double_driver_is_rejected) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
     lsf::source s1("s1", sys, u, lsf::waveform::dc(1.0));
     lsf::source s2("s2", sys, u, lsf::waveform::dc(2.0));
-    EXPECT_THROW(sim.run(1_us), sca::util::error);
+    EXPECT_THROW(tb.run(1_us), sca::util::error);
 }
 
 TEST(lsf, undriven_signal_is_rejected) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
     auto y = sys.create_signal("y");
     lsf::gain g("g", sys, u, y, 1.0);  // u has no driver
-    EXPECT_THROW(sim.run(1_us), sca::util::error);
+    EXPECT_THROW(tb.run(1_us), sca::util::error);
 }
 
 TEST(lsf, tdf_converters_roundtrip) {
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -255,7 +254,7 @@ TEST(lsf, tdf_converters_roundtrip) {
     to.outp.bind(sout_);
     k.in.bind(sout_);
 
-    sim.run(4_us);
+    tb.run(4_us);
     ASSERT_EQ(k.got.size(), 5U);
     EXPECT_DOUBLE_EQ(k.got[0], 0.0);
     EXPECT_DOUBLE_EQ(k.got[3], -6.0);

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/multidomain.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -19,7 +18,7 @@ namespace core = sca::core;
 using namespace sca::de::literals;
 
 TEST(mechanical, damped_mass_reaches_terminal_velocity) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto mgnd = net.ground(eln::nature::mechanical_translational);
@@ -28,13 +27,13 @@ TEST(mechanical, damped_mass_reaches_terminal_velocity) {
     eln::damper b("b", net, v, mgnd, 4.0);              // 4 N*s/m
     eln::force_source f("f", net, mgnd, v, eln::waveform::dc(8.0));  // 8 N
 
-    sim.run(5_sec);
+    tb.run(5_sec);
     // Terminal velocity F/b = 2 m/s, time constant m/b = 0.5 s.
     EXPECT_NEAR(net.voltage(v), 2.0, 1e-6);
 }
 
 TEST(mechanical, mass_spring_damper_oscillation) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto mgnd = net.ground(eln::nature::mechanical_translational);
@@ -58,7 +57,7 @@ TEST(mechanical, mass_spring_damper_oscillation) {
     pos.outp.bind(s);
     sink.in.bind(s);
 
-    sim.run(20_sec);
+    tb.run(20_sec);
     // Final position = F/k = 0.1 m; damped oscillation on the way there.
     ASSERT_FALSE(sink.xs.empty());
     EXPECT_NEAR(sink.xs.back(), 0.1, 1e-3);
@@ -68,7 +67,7 @@ TEST(mechanical, mass_spring_damper_oscillation) {
 }
 
 TEST(mechanical, rotational_inertia_spin_up) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::ms);
     auto rgnd = net.ground(eln::nature::mechanical_rotational);
@@ -77,12 +76,12 @@ TEST(mechanical, rotational_inertia_spin_up) {
     eln::rotational_damper b("b", net, w, rgnd, 0.1);  // friction
     eln::torque_source t("t", net, rgnd, w, eln::waveform::dc(1.0));
 
-    sim.run(60_sec);  // >> tau = J/b = 5 s
+    tb.run(60_sec);  // >> tau = J/b = 5 s
     EXPECT_NEAR(net.voltage(w), 10.0, 1e-3);  // T/b
 }
 
 TEST(thermal, rc_heating_curve) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(10.0, de::time_unit::ms);
     auto ambient = net.ground(eln::nature::thermal);
@@ -95,13 +94,13 @@ TEST(thermal, rc_heating_curve) {
     eln::heat_source p("p", net, ambient, junction,
                        eln::waveform::pulse(0.0, 2.0, 1.0, 1e-6, 1e-6, 1e4, 2e4));
 
-    sim.run(11_sec);  // one tau after switch-on
+    tb.run(11_sec);  // one tau after switch-on
     const double expected = 2.0 * rth * (1.0 - std::exp(-1.0));
     EXPECT_NEAR(net.voltage(junction), expected, 0.2);
 }
 
 TEST(electromechanical, dc_motor_steady_state_speed) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -115,7 +114,7 @@ TEST(electromechanical, dc_motor_steady_state_speed) {
     eln::inertia inertia_("j", net, shaft, j);
     eln::rotational_damper fric("b", net, shaft, rgnd, b);
 
-    sim.run(10_sec);
+    tb.run(10_sec);
     // w = V K / (R b + K^2), i = b w / K.
     const double w_expected = 12.0 * kt / (ra * b + kt * kt);
     EXPECT_NEAR(net.voltage(shaft), w_expected, 0.01);
@@ -123,7 +122,7 @@ TEST(electromechanical, dc_motor_steady_state_speed) {
 }
 
 TEST(electromechanical, motor_back_emf_limits_current) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -136,11 +135,11 @@ TEST(electromechanical, motor_back_emf_limits_current) {
     eln::inertia inertia_("j", net, shaft, 0.01);
     eln::rotational_damper fric("b", net, shaft, rgnd, 0.001);
 
-    core::transient_recorder rec(sim, 1_ms);
-    rec.add_probe("i", [&] { return net.current(motor); });
-    rec.run(5_sec);
+    tb.set_sample_period(1_ms);
+    tb.probe("i", [&] { return net.current(motor); });
+    tb.run(5_sec);
 
-    const auto i = rec.column(0);
+    const auto i = tb.waveform("i");
     double imax = 0.0;
     for (double x : i) imax = std::max(imax, x);
     // Stall current ~ 12 A at switch-on, decaying as back-EMF builds.
@@ -149,7 +148,7 @@ TEST(electromechanical, motor_back_emf_limits_current) {
 }
 
 TEST(multidomain, nature_checks_guard_connections) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     auto electrical = net.create_node("e");
     auto thermal_node = net.create_node("t", eln::nature::thermal);

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/nonlinear.hpp"
 #include "eln/primitives.hpp"
@@ -20,7 +19,7 @@ namespace core = sca::core;
 using namespace sca::de::literals;
 
 TEST(nonlinear, diode_forward_voltage) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -30,14 +29,14 @@ TEST(nonlinear, diode_forward_voltage) {
     eln::resistor r("r", net, vin, vd, 1000.0);
     eln::diode d("d", net, vd, gnd);
 
-    sim.run(5_us);
+    tb.run(5_us);
     // ~4.3 mA through 1k: forward voltage in the usual silicon range.
     EXPECT_GT(net.voltage(vd), 0.55);
     EXPECT_LT(net.voltage(vd), 0.80);
 }
 
 TEST(nonlinear, diode_blocks_reverse) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -47,12 +46,12 @@ TEST(nonlinear, diode_blocks_reverse) {
     eln::resistor r("r", net, vin, vd, 1000.0);
     eln::diode d("d", net, vd, gnd);
 
-    sim.run(5_us);
+    tb.run(5_us);
     EXPECT_NEAR(net.voltage(vd), -5.0, 1e-3);  // no current: full reverse bias
 }
 
 TEST(nonlinear, half_wave_rectifier_with_filter) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(5.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -63,11 +62,11 @@ TEST(nonlinear, half_wave_rectifier_with_filter) {
     eln::capacitor c("c", net, vout, gnd, 10e-6);
     eln::resistor load("load", net, vout, gnd, 10e3);
 
-    core::transient_recorder rec(sim, 10_us);
-    rec.add_probe("vout", [&] { return net.voltage(vout); });
-    rec.run(10_ms);
+    tb.set_sample_period(10_us);
+    tb.probe("vout", [&] { return net.voltage(vout); });
+    tb.run(10_ms);
 
-    const auto v = rec.column(0);
+    const auto v = tb.waveform("vout");
     // Peak detector: settles near the peak minus one diode drop, low ripple.
     std::vector<double> tail(v.end() - 200, v.end());
     const double mean_v = sca::util::mean(tail);
@@ -79,7 +78,7 @@ TEST(nonlinear, half_wave_rectifier_with_filter) {
 }
 
 TEST(nonlinear, nmos_saturation_current) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -89,14 +88,14 @@ TEST(nonlinear, nmos_saturation_current) {
     eln::vsource vds("vds", net, vd, gnd, eln::waveform::dc(3.0));
     eln::nmos m("m", net, vd, vg, gnd, 2e-3, 0.7, 0.0);
 
-    sim.run(3_us);
+    tb.run(3_us);
     // Saturation: Id = k/2 (vgs - vth)^2 = 1e-3 * 1 = 1 mA, drawn through vds.
     EXPECT_NEAR(std::abs(net.current(vds)), 1e-3, 2e-5);
 }
 
 TEST(nonlinear, nmos_resistor_inverter_transfer) {
     auto vout_for = [](double vin_value) {
-        core::simulation sim;
+        core::testbench tb;
         sca::util::object_bag bag;
         eln::network net("net");
         net.set_timestep(1.0, de::time_unit::us);
@@ -108,7 +107,7 @@ TEST(nonlinear, nmos_resistor_inverter_transfer) {
         bag.make<eln::vsource>("vin_s", net, vin, gnd, eln::waveform::dc(vin_value));
         bag.make<eln::resistor>("rl", net, vdd, vout, 10e3);
         bag.make<eln::nmos>("m", net, vout, vin, gnd, 2e-3, 0.7, 0.01);
-        sim.run(3_us);
+        tb.run(3_us);
         return net.voltage(vout);
     };
     EXPECT_GT(vout_for(0.0), 4.9);   // off: pulled to VDD
@@ -117,7 +116,7 @@ TEST(nonlinear, nmos_resistor_inverter_transfer) {
 }
 
 TEST(nonlinear, pmos_mirror_of_nmos) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -129,13 +128,13 @@ TEST(nonlinear, pmos_mirror_of_nmos) {
     eln::pmos m("m", net, vd, vg, vdd, 2e-3, 0.7, 0.0);
     eln::resistor load("load", net, vd, gnd, 1000.0);
 
-    sim.run(3_us);
+    tb.run(3_us);
     // Id = k/2 (vsg - vth)^2 = 1 mA into 1k: vd = 1 V.
     EXPECT_NEAR(net.voltage(vd), 1.0, 0.02);
 }
 
 TEST(nonlinear, saturating_vccs_clips_and_distorts) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(2.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -151,11 +150,11 @@ TEST(nonlinear, saturating_vccs_clips_and_distorts) {
                             });
     eln::resistor load("load", net, vout, gnd, 1000.0);
 
-    core::transient_recorder rec(sim, 2_us);
-    rec.add_probe("vout", [&] { return net.voltage(vout); });
-    rec.run(8_ms);
+    tb.set_sample_period(2_us);
+    tb.probe("vout", [&] { return net.voltage(vout); });
+    tb.run(8_ms);
 
-    auto v = rec.column(0);
+    auto v = tb.waveform("vout");
     std::vector<double> tail(v.end() - 2048, v.end());
     // Strong drive into tanh: output compressed below the linear 2 V and
     // rich in odd harmonics.
@@ -167,7 +166,7 @@ TEST(nonlinear, saturating_vccs_clips_and_distorts) {
 }
 
 TEST(nonlinear, variable_step_statistics_reported) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(10.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -178,12 +177,12 @@ TEST(nonlinear, variable_step_statistics_reported) {
     eln::capacitor c("c", net, vout, gnd, 1e-6);
     eln::resistor load("load", net, vout, gnd, 100e3);
 
-    sim.run(2_ms);
+    tb.run(2_ms);
     EXPECT_GT(net.factorizations(), net.activation_count());  // Newton refactors
 }
 
 TEST(nonlinear, linear_network_stays_on_fast_path) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -192,6 +191,6 @@ TEST(nonlinear, linear_network_stays_on_fast_path) {
     eln::resistor r("r", net, n, gnd, 1000.0);
     eln::capacitor c("c", net, n, gnd, 10e-9);
 
-    sim.run(1_ms);
+    tb.run(1_ms);
     EXPECT_EQ(net.factorizations(), 1U);  // linear: one LU for the whole run
 }

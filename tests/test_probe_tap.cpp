@@ -211,7 +211,7 @@ trace_rows run_bench(const std::string& scenario, const core::params& p, bool el
     } else if (how == drive::sliced) {
         // Slices that align with neither the cluster period nor the samples.
         const de::time slice = de::time::from_fs(dur.value_fs() / 7 + 13);
-        while (tb->sim().now() < dur) tb->run(std::min(slice, dur - tb->sim().now()));
+        while (tb->context().now() < dur) tb->run(std::min(slice, dur - tb->context().now()));
         rows.append(*tb);
     } else {
         const de::time mid = de::time::from_fs(dur.value_fs() / 20 * 9 + 7);

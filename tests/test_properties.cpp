@@ -6,7 +6,7 @@
 #include <numeric>
 #include <random>
 
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
@@ -36,7 +36,7 @@ TEST_P(random_ladder, dc_solution_satisfies_kirchhoff) {
     std::uniform_real_distribution<double> res(100.0, 100e3);
     std::uniform_int_distribution<int> len(2, 12);
 
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -53,13 +53,13 @@ TEST_P(random_ladder, dc_solution_satisfies_kirchhoff) {
         bag.make<eln::resistor>("rp" + std::to_string(i), net, nodes[i + 1], gnd, res(rng));
     }
 
-    sim.run(3_us);
+    tb.run(3_us);
     // KCL check at every internal node: the solved state must satisfy the
     // assembled equations (residual of A x - q).
     auto& sys = net.equations();
     const auto x = net.state();
     const auto ax = sys.a().multiply(x);
-    const auto q = sys.rhs(sim.now().to_seconds());
+    const auto q = sys.rhs(tb.context().now().to_seconds());
     for (std::size_t i = 0; i < x.size(); ++i) {
         EXPECT_NEAR(ax[i], q[i], 1e-6) << "row " << i;
     }
@@ -132,14 +132,14 @@ TEST_P(random_rate_pair, token_stream_is_lossless_and_ordered) {
     std::mt19937 rng(static_cast<unsigned>(GetParam()) * 104729U + 17U);
     std::uniform_int_distribution<unsigned> rate(1, 5);
 
-    core::simulation sim;
+    core::testbench tb;
     rate_producer src("src", rate(rng));
     rate_consumer dst("dst", rate(rng));
     tdf::signal<double> s("s");
     src.out.bind(s);
     dst.in.bind(s);
 
-    sim.run(40_us);
+    tb.run(40_us);
     ASSERT_GE(dst.got.size(), 10U);
     for (std::size_t i = 0; i < dst.got.size(); ++i) {
         EXPECT_DOUBLE_EQ(dst.got[i], static_cast<double>(i)) << i;
@@ -168,7 +168,7 @@ TEST_P(random_stable_filter, bounded_response_and_dc_gain) {
     auto den = lsf::poly_from_roots(poles);
     const std::vector<double> num{den[0]};  // unity DC gain
 
-    core::simulation sim;
+    core::testbench tb;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -176,7 +176,7 @@ TEST_P(random_stable_filter, bounded_response_and_dc_gain) {
     lsf::source src("src", sys, u, lsf::waveform::dc(1.0));
     lsf::ltf_nd f("f", sys, u, y, num, den);
 
-    sim.run(5_ms);
+    tb.run(5_ms);
     // Stable filter: settles to the DC gain without blowing up.
     EXPECT_NEAR(sys.value(y), 1.0, 0.05);
 }
@@ -224,7 +224,7 @@ TEST_P(random_rc_energy, discharge_is_monotonic_without_sources) {
 
     // A charged capacitor discharging through a random resistor mesh must
     // decay monotonically (passivity: no energy creation).
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -238,11 +238,11 @@ TEST_P(random_rc_energy, discharge_is_monotonic_without_sources) {
     bag.make<eln::resistor>("r1", net, a, b, res(rng));
     bag.make<eln::resistor>("r2", net, b, gnd, res(rng));
 
-    sim.run(10_us);
+    tb.run(10_us);
     double prev = net.voltage(a);
     bool decayed = false;
     for (int i = 0; i < 100; ++i) {
-        sim.run(5_us);
+        tb.run(5_us);
         const double now = net.voltage(a);
         EXPECT_LE(now, prev + 1e-9);
         if (now < prev) decayed = true;

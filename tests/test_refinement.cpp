@@ -19,7 +19,7 @@
 #include <sstream>
 
 #include "core/dc_analysis.hpp"
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -142,17 +142,17 @@ TEST_P(refinement_levels, all_abstraction_levels_agree) {
 
     double amp[3] = {};
     {
-        core::simulation sim;
+        core::testbench tb;
         behavioral_filter f;
         amp[0] = steady_state_amplitude(f, freq);
     }
     {
-        core::simulation sim;
+        core::testbench tb;
         mathematical_filter f;
         amp[1] = steady_state_amplitude(f, freq);
     }
     {
-        core::simulation sim;
+        core::testbench tb;
         electrical_filter f;
         amp[2] = steady_state_amplitude(f, freq);
     }
@@ -170,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(frequencies, refinement_levels,
                          ::testing::Values(200.0, 1000.0, 2000.0, 8000.0));
 
 TEST(refinement, dc_analysis_reports_named_operating_point) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -180,7 +180,7 @@ TEST(refinement, dc_analysis_reports_named_operating_point) {
     bag.make<eln::vsource>("vs", net, a, gnd, eln::waveform::dc(9.0));
     bag.make<eln::resistor>("r1", net, a, b, 2000.0);
     bag.make<eln::resistor>("r2", net, b, gnd, 1000.0);
-    sim.elaborate();
+    tb.elaborate();
 
     core::dc_analysis dc(net);
     const auto op = dc.operating_point();

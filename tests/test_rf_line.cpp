@@ -6,8 +6,7 @@
 #include <numbers>
 
 #include "core/ac_analysis.hpp"
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/line.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -43,7 +42,7 @@ struct sink : tdf::module {
 }  // namespace
 
 TEST(pll, locks_to_offset_reference) {
-    core::simulation sim;
+    core::testbench tb;
     const double f_ref = 10.2e3;
     const double f0 = 10e3;
     const double kv = 2e3;  // Hz/V
@@ -60,7 +59,7 @@ TEST(pll, locks_to_offset_reference) {
     vco_sink.in.bind(s_out);
     ctl.in.bind(s_ctl);
 
-    sim.run(300_ms);
+    tb.run(300_ms);
     // Locked: the mean control voltage carries the frequency offset (the
     // instantaneous value ripples at 2x the carrier through the PD).
     std::vector<double> tail(ctl.samples.end() - 5000, ctl.samples.end());
@@ -70,7 +69,7 @@ TEST(pll, locks_to_offset_reference) {
 }
 
 TEST(pll, free_runs_at_f0_without_input) {
-    core::simulation sim;
+    core::testbench tb;
     lib::waveform_source zero("zero", sca::util::waveform::dc(0.0));
     zero.set_timestep(2.0, de::time_unit::us);
     lib::pll loop("loop", 10e3, 2e3, 500.0);
@@ -82,12 +81,12 @@ TEST(pll, free_runs_at_f0_without_input) {
     loop.control.bind(s_ctl);
     s1.in.bind(s_out);
     s2.in.bind(s_ctl);
-    sim.run(50_ms);
+    tb.run(50_ms);
     EXPECT_NEAR(loop.vco_frequency(), 10e3, 1.0);
 }
 
 TEST(pll, rejects_insufficient_sample_rate) {
-    core::simulation sim;
+    core::testbench tb;
     lib::waveform_source zero("zero", sca::util::waveform::dc(0.0));
     zero.set_timestep(100.0, de::time_unit::us);  // fs = 10 kHz < 2.5 f0
     lib::pll loop("loop", 10e3, 1e3, 100.0);
@@ -99,11 +98,11 @@ TEST(pll, rejects_insufficient_sample_rate) {
     loop.control.bind(s_ctl);
     s1.in.bind(s_out);
     s2.in.bind(s_ctl);
-    EXPECT_THROW(sim.elaborate(), sca::util::error);
+    EXPECT_THROW(tb.elaborate(), sca::util::error);
 }
 
 TEST(rc_line, dc_resistance_and_delay_scale_with_length) {
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(10.0, de::time_unit::ns);
     auto gnd = net.ground();
@@ -114,7 +113,7 @@ TEST(rc_line, dc_resistance_and_delay_scale_with_length) {
     eln::rc_line line("line", net, a, b, gnd, 1000.0, 1e-9, 16);
     eln::resistor load("load", net, b, gnd, 1e6);
 
-    sim.run(50_us);  // >> line tau: settled
+    tb.run(50_us);  // >> line tau: settled
     // DC: divider of the line resistance against the load.
     EXPECT_NEAR(net.voltage(b), 1e6 / (1e6 + 1000.0), 1e-6);
 }
@@ -122,7 +121,7 @@ TEST(rc_line, dc_resistance_and_delay_scale_with_length) {
 TEST(rc_line, elmore_delay_matches_theory) {
     // Elmore delay of a distributed RC line is ~0.5 R C; the lumped ladder
     // should land near it (within discretization error).
-    core::simulation sim;
+    core::testbench tb;
     eln::network net("net");
     net.set_timestep(5.0, de::time_unit::ns);
     auto gnd = net.ground();
@@ -134,17 +133,17 @@ TEST(rc_line, elmore_delay_matches_theory) {
     eln::rc_line line("line", net, a, b, gnd, r, c, 32);
     eln::resistor load("load", net, b, gnd, 1e9);
 
-    core::transient_recorder rec(sim, 500_ns);
-    rec.add_probe("vb", [&] { return net.voltage(b); });
-    rec.run(400_us);
+    tb.set_sample_period(500_ns);
+    tb.probe("vb", [&] { return net.voltage(b); });
+    tb.run(400_us);
     const double t50 = sca::util::first_rising_crossing(
-        rec.times(), rec.column(0), 0.5);
+        tb.times(), tb.waveform("vb"), 0.5);
     // 50% crossing of a distributed RC step is ~0.38 RC after the edge.
     EXPECT_NEAR(t50 - 1e-6, 0.38 * r * c, 0.08 * r * c);
 }
 
 TEST(rc_line, internal_nodes_are_probeable) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -154,7 +153,7 @@ TEST(rc_line, internal_nodes_are_probeable) {
     bag.make<eln::vsource>("vs", net, a, gnd, eln::waveform::dc(4.0));
     auto& line = bag.make<eln::rc_line>("line", net, a, b, gnd, 1000.0, 1e-9, 4);
     bag.make<eln::resistor>("load", net, b, gnd, 1000.0);
-    sim.run(20_us);
+    tb.run(20_us);
     // Voltage decreases monotonically along the ladder toward the load.
     double prev = net.voltage(a);
     for (std::size_t i = 0; i + 1 < line.sections(); ++i) {
@@ -169,7 +168,7 @@ TEST(rc_line, internal_nodes_are_probeable) {
 TEST(rlgc_line, matched_termination_passes_ac_flatly) {
     // A lossless LC line terminated in its characteristic impedance shows a
     // flat magnitude response well below the section cutoff.
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -182,7 +181,7 @@ TEST(rlgc_line, matched_termination_passes_ac_flatly) {
     vs.set_ac(1.0);
     bag.make<eln::rlgc_line>("line", net, a, b, gnd, 0.0, l, 0.0, c, 16);
     bag.make<eln::resistor>("term", net, b, gnd, z0);
-    sim.elaborate();
+    tb.elaborate();
 
     core::ac_analysis ac(net);
     // Section resonance ~ 1/(2 pi sqrt(l/n * c/n)) = n/(2 pi sqrt(lc)) ≈ 2.5 MHz.

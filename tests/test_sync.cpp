@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "core/simulation.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -53,14 +53,14 @@ struct staircase_writer : tdf::module {
 }  // namespace
 
 TEST(sync, de_out_multirate_timestamps_are_exact) {
-    core::simulation sim;
+    core::testbench tb;
     de::signal<double> wire("wire", -1.0);
     staircase_writer src("src");
     de_change_logger logger("logger");
     src.out.bind(wire);
     logger.in.bind(wire);
 
-    sim.run(12_us);
+    tb.run(12_us);
     // Samples at 0,1,2,3,4,... us with values 0,1,2,3,4,...
     ASSERT_GE(logger.log.size(), 12U);
     for (std::size_t i = 0; i < 12; ++i) {
@@ -83,18 +83,18 @@ struct de_in_sampler : tdf::module {
 }  // namespace
 
 TEST(sync, de_in_samples_at_activation_time) {
-    core::simulation sim;
+    core::testbench tb;
     de::signal<double> wire("wire", 0.0);
     de_in_sampler mod("mod");
     mod.in.bind(wire);
     // Change the DE value between cluster activations.
-    auto& driver = sim.context().register_method("driver", [&] {
+    auto& driver = tb.context().register_method("driver", [&] {
         wire.write(wire.read() + 1.0);
-        sim.context().next_trigger(10_us);
+        tb.context().next_trigger(10_us);
     });
     (void)driver;
 
-    sim.run(35_us);
+    tb.run(35_us);
     // Cluster activations at 0,10,20,30 us; driver also runs at those times.
     // Whether the cluster sees the pre- or post-update value at the shared
     // timestamp is resolved by the signal's deferred update: the cluster
@@ -109,7 +109,7 @@ TEST(sync, consistent_initial_state_at_t0) {
     // Paper: "the synchronization also requires the formal definition of a
     // consistent initial (quiescent) state".  The first TDF sample out of an
     // ELN network must be the DC solution, not zero.
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -131,13 +131,13 @@ TEST(sync, consistent_initial_state_at_t0) {
     probe.outp.bind(s);
     sink.in.bind(s);
 
-    sim.run(2_us);
+    tb.run(2_us);
     ASSERT_FALSE(sink.got.empty());
     EXPECT_NEAR(sink.got.front(), 4.0, 1e-9);  // DC divider value at t=0
 }
 
 TEST(sync, de_event_reaches_network_within_one_period) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     de::signal<double> level("level", 0.0);
     eln::network net("net");
@@ -148,15 +148,15 @@ TEST(sync, de_event_reaches_network_within_one_period) {
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
     src.inp.bind(level);
 
-    sim.run(1_us);
+    tb.run(1_us);
     EXPECT_NEAR(net.voltage(n), 0.0, 1e-12);
     level.write(7.5);
-    sim.run(2_us);
+    tb.run(2_us);
     EXPECT_NEAR(net.voltage(n), 7.5, 1e-9);
 }
 
 TEST(sync, tdf_cluster_and_de_clock_interleave) {
-    core::simulation sim;
+    core::testbench tb;
     de::clock clk("clk", 3_us);
     struct edge_counter : de::module {
         de::in<bool> c;
@@ -182,14 +182,14 @@ TEST(sync, tdf_cluster_and_de_clock_interleave) {
     tick.out.bind(s);
     sink.in.bind(s);
 
-    sim.run(12_us);
+    tb.run(12_us);
     // Both worlds advanced: 12/1.5 = 8 clock edges, 7 TDF activations.
     EXPECT_EQ(counter.edges, 9);           // t=0,1.5,...,12 -> 9 changes
     EXPECT_EQ(tick.activation_count(), 7U);  // t=0,2,...,12
 }
 
 TEST(sync, network_activations_track_cluster_period) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(5.0, de::time_unit::us);
@@ -198,7 +198,7 @@ TEST(sync, network_activations_track_cluster_period) {
     bag.make<eln::isource>("is", net, gnd, n, eln::waveform::dc(1e-3));
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
 
-    sim.run(50_us);
+    tb.run(50_us);
     EXPECT_EQ(net.activation_count(), 11U);  // t = 0, 5, ..., 50 us
     EXPECT_EQ(net.factorizations(), 1U);     // linear: factored exactly once
 }
@@ -206,19 +206,19 @@ TEST(sync, network_activations_track_cluster_period) {
 // ------------------------------------------------- batched synchronization
 
 TEST(sync, converter_ports_mark_cluster_de_coupled) {
-    core::simulation sim;
+    core::testbench tb;
     de::signal<double> wire("wire", -1.0);
     staircase_writer src("src");
     src.out.bind(wire);
-    sim.elaborate();
-    auto& reg = tdf::registry::of(sim.context());
+    tb.elaborate();
+    auto& reg = tdf::registry::of(tb.context());
     ASSERT_EQ(reg.clusters().size(), 1U);
     // A de_out converter port forces per-period synchronization.
     EXPECT_TRUE(reg.clusters()[0]->de_coupled());
 }
 
 TEST(sync, de_controlled_network_is_de_coupled) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     de::signal<double> level("level", 0.0);
     eln::network net("net");
@@ -228,14 +228,14 @@ TEST(sync, de_controlled_network_is_de_coupled) {
     auto& src = bag.make<eln::de_vsource>("src", net, n, gnd);
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
     src.inp.bind(level);
-    sim.elaborate();
-    auto& reg = tdf::registry::of(sim.context());
+    tb.elaborate();
+    auto& reg = tdf::registry::of(tb.context());
     ASSERT_EQ(reg.clusters().size(), 1U);
     EXPECT_TRUE(reg.clusters()[0]->de_coupled());
 }
 
 TEST(sync, pure_network_cluster_is_not_de_coupled) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -243,8 +243,8 @@ TEST(sync, pure_network_cluster_is_not_de_coupled) {
     auto n = net.create_node("n");
     bag.make<eln::isource>("is", net, gnd, n, eln::waveform::dc(1e-3));
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
-    sim.elaborate();
-    auto& reg = tdf::registry::of(sim.context());
+    tb.elaborate();
+    auto& reg = tdf::registry::of(tb.context());
     ASSERT_EQ(reg.clusters().size(), 1U);
     EXPECT_FALSE(reg.clusters()[0]->de_coupled());
 }
@@ -255,8 +255,8 @@ namespace {
 /// signal buffer; returns the observer's log.  Guards the batching contract:
 /// timed DE observers must see exactly what per-period execution produces.
 std::vector<double> run_observed_pipeline(std::uint64_t max_batch_periods) {
-    core::simulation sim;
-    tdf::registry::of(sim.context()).set_default_max_batch_periods(max_batch_periods);
+    core::testbench tb;
+    tdf::registry::of(tb.context()).set_default_max_batch_periods(max_batch_periods);
 
     struct ramp : tdf::module {
         tdf::out<double> out;
@@ -277,13 +277,13 @@ std::vector<double> run_observed_pipeline(std::uint64_t max_batch_periods) {
     // Periodic observer at 7 us (deliberately unaligned with the 2 us
     // cluster period), reading the most recent token.
     std::vector<double> log;
-    auto& watcher = sim.context().register_method("watch", [&] {
+    auto& watcher = tb.context().register_method("watch", [&] {
         log.push_back(s.last_value());
-        sim.context().next_trigger(7_us);
+        tb.context().next_trigger(7_us);
     });
     (void)watcher;
 
-    sim.run(200_us);
+    tb.run(200_us);
     return log;
 }
 
@@ -299,7 +299,7 @@ TEST(sync, batched_execution_invisible_to_timed_de_observer) {
 }
 
 TEST(sync, batched_network_reuses_factorization) {
-    core::simulation sim;
+    core::testbench tb;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -308,8 +308,8 @@ TEST(sync, batched_network_reuses_factorization) {
     bag.make<eln::vsource>("vs", net, n, gnd, eln::waveform::sine(1.0, 10e3));
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
 
-    sim.run(500_us);
-    auto& reg = tdf::registry::of(sim.context());
+    tb.run(500_us);
+    auto& reg = tdf::registry::of(tb.context());
     ASSERT_EQ(reg.clusters().size(), 1U);
     EXPECT_FALSE(reg.clusters()[0]->de_coupled());
     EXPECT_EQ(net.activation_count(), 501U);
